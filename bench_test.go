@@ -589,6 +589,25 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshotQueryExact measures an exact (budget < 0) query — the
+// mode kiffserve runs by default — on the full-scale wikipedia fixture,
+// where dense item profiles give every query hundreds of candidates.
+func BenchmarkSnapshotQueryExact(b *testing.B) {
+	d, err := dataset.Wikipedia.Generate(1, 3)
+	benchErr(b, err)
+	m, err := NewMaintainer(d, Options{K: 10})
+	benchErr(b, err)
+	s := m.Snapshot()
+	profile := m.Dataset().Users[1]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Query(profile, 10, -1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func seqIDs(start, n, step int) []uint32 {
 	ids := make([]uint32, n)
 	for i := range ids {

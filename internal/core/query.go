@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
+	"sync"
 
 	"kiff/internal/dataset"
 	"kiff/internal/knngraph"
@@ -24,11 +24,19 @@ import (
 // classification workloads of §I). The same Eq. (5)/(6) argument applies:
 // with an unlimited budget the result is the exact KNN of the query.
 //
-// An Index never mutates its dataset after construction and keeps no
-// per-query state, so any number of goroutines may call Query
-// concurrently — as snapshot readers do — provided the dataset itself is
-// not mutated underneath it (hand the Index a frozen dataset.View when
-// the writer keeps going).
+// A query runs the machinery of the builders: the counting phase bins
+// the profile into the item profiles with epoch-stamped dense counters,
+// a budget is cut by packed rank keys (rcs.SelectRanked), candidates are
+// scored by the metric's one-vs-many form (similarity.Metric.ScoreProfile,
+// which takes the set-based metrics straight from the counts) and the
+// answer is kept in a bounded top-k.
+//
+// An Index never mutates its dataset after construction and holds no
+// per-query state: the counters and buffers come from a process-wide
+// sync.Pool, so any number of goroutines may call Query concurrently — as
+// snapshot readers do — provided the dataset itself is not mutated
+// underneath it (hand the Index a frozen dataset.View when the writer
+// keeps going).
 type Index struct {
 	d      profileSource
 	metric similarity.Metric
@@ -39,9 +47,8 @@ type Index struct {
 // satisfy it, so an Index is O(1) to construct over a freshly published
 // view — nothing is copied or prepared per publication.
 type profileSource interface {
-	NumItems() int
-	User(u uint32) sparse.Vector
-	Item(i uint32) []uint32
+	similarity.Source
+	NumUsers() int
 }
 
 // NewIndex builds a query index over the live dataset. metric nil selects
@@ -67,13 +74,18 @@ func defaultMetric(m similarity.Metric) similarity.Metric {
 	return m
 }
 
-// Query returns the k nearest users to the given profile. budget bounds
-// the number of similarity evaluations (counted from the most-overlapping
-// candidate down); budget < 0 evaluates every overlapping candidate,
-// which yields the exact KNN for metrics satisfying Eq. (5)/(6).
+// Query returns the k nearest users to the given profile, best first
+// (similarity descending, ties by ascending ID). budget bounds the number
+// of similarity evaluations, spent on the candidates sharing the most
+// items (ties by ascending ID); budget < 0 evaluates every overlapping
+// candidate, which yields the exact KNN for metrics satisfying
+// Eq. (5)/(6).
 //
 // The profile uses the same item ID space as the indexed dataset; IDs at
-// or beyond NumItems are ignored (they cannot overlap with anyone).
+// or beyond NumItems cannot overlap with anyone and are not binned, but
+// still count toward the profile's norm and length. Memory per query is
+// O(candidates) whatever the item IDs or k of the request, and the only
+// allocation is the returned slice.
 func (ix *Index) Query(profile sparse.Vector, k, budget int) ([]knngraph.Neighbor, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("kiff: query k must be ≥ 1, got %d", k)
@@ -81,105 +93,99 @@ func (ix *Index) Query(profile sparse.Vector, k, budget int) ([]knngraph.Neighbo
 	if err := profile.Validate(); err != nil {
 		return nil, fmt.Errorf("kiff: query profile: %w", err)
 	}
-	// Counting phase for one user: bin the query into the item profiles.
-	counts := make(map[uint32]int32)
-	for _, it := range profile.IDs {
-		if int(it) >= ix.d.NumItems() {
-			continue
-		}
-		for _, v := range ix.d.Item(it) {
-			counts[v]++
-		}
-	}
-	cands := make([]uint32, 0, len(counts))
-	for v := range counts {
-		cands = append(cands, v)
-	}
-	slices.SortFunc(cands, func(a, b uint32) int {
-		return rcs.CompareRanked(counts[a], counts[b], a, b)
-	})
-	if budget >= 0 && len(cands) > budget {
-		cands = cands[:budget]
-	}
-
-	// Refinement: evaluate the retained candidates with the real metric.
-	// The query profile is not part of the prepared dataset, so the
-	// pairwise function cannot be used directly; evaluate against each
-	// candidate's profile instead.
-	sims := make([]knngraph.Neighbor, 0, len(cands))
-	for _, v := range cands {
-		s := ix.evalAgainst(profile, v)
-		sims = append(sims, knngraph.Neighbor{ID: v, Sim: s})
-	}
-	slices.SortFunc(sims, knngraph.CompareNeighbors)
-	if len(sims) > k {
-		sims = sims[:k]
-	}
-	return sims, nil
+	qs := queryPool.Get().(*queryScratch)
+	defer queryPool.Put(qs)
+	return ix.query(qs, profile, k, budget), nil
 }
 
-// evalAgainst computes the metric between an external profile and an
-// indexed user. The supported metrics all decompose into profile-local
-// terms, so they can be computed without registering the query profile in
-// the dataset.
-func (ix *Index) evalAgainst(profile sparse.Vector, v uint32) float64 {
-	other := ix.d.User(v)
-	switch ix.metric.(type) {
-	case similarity.Cosine:
-		nu, nv := sparse.Norm(profile), sparse.Norm(other)
-		if nu == 0 || nv == 0 {
-			return 0
-		}
-		return sparse.Dot(profile, other) / (nu * nv)
-	case similarity.Jaccard:
-		inter := sparse.CommonCount(profile, other)
-		if inter == 0 {
-			return 0
-		}
-		return float64(inter) / float64(profile.Len()+other.Len()-inter)
-	case similarity.Dice:
-		inter := sparse.CommonCount(profile, other)
-		if inter == 0 {
-			return 0
-		}
-		return 2 * float64(inter) / float64(profile.Len()+other.Len())
-	case similarity.Overlap:
-		return float64(sparse.CommonCount(profile, other))
-	default:
-		// Adamic-Adar (and any future metric) depends on dataset-global
-		// item statistics; use the item-profile-aware path.
-		return ix.evalViaTempUser(profile, v)
-	}
+// queryPool holds the per-query scratch. It is shared by every Index, so
+// the shards of a pool (and successive snapshots) reuse one set of
+// counters per concurrent query rather than one per index.
+var queryPool = sync.Pool{New: func() any { return new(queryScratch) }}
+
+// queryScratch is one query's reusable memory.
+type queryScratch struct {
+	// slots counts candidates over the user domain. A slot belongs to the
+	// current query iff its epoch equals epoch, so starting a query is an
+	// increment, not a clear.
+	slots   []countSlot
+	epoch   uint32
+	touched []uint32 // candidates of the current query, in discovery order
+	keys    []uint64 // rcs rank keys, for the budget cut
+	common  []int32  // shared-item counts aligned with the scored candidates
+	sims    []float64
+	pivot   similarity.Pivot
 }
 
-// evalViaTempUser computes metrics that need dataset-global state by
-// materializing the query as a throwaway single-user dataset view.
-// Item profiles were built at NewIndex time; no mutation happens here
-// (Query must stay concurrency-safe).
-func (ix *Index) evalViaTempUser(profile sparse.Vector, v uint32) float64 {
-	// Adamic-Adar needs |IPi| of the *indexed* dataset, so reuse its item
-	// profiles for the weights.
-	var s float64
-	other := ix.d.User(v)
-	i, j := 0, 0
-	for i < len(profile.IDs) && j < len(other.IDs) {
-		a, b := profile.IDs[i], other.IDs[j]
-		switch {
-		case a == b:
-			if int(a) < ix.d.NumItems() && len(ix.d.Item(a)) >= 2 {
-				s += 1 / logFloat(len(ix.d.Item(a)))
+type countSlot struct {
+	epoch uint32
+	count int32
+}
+
+func (ix *Index) query(qs *queryScratch, profile sparse.Vector, k, budget int) []knngraph.Neighbor {
+	qs.pivot.Bind(ix.d, profile)
+	defer qs.pivot.Release()
+	qs.count(ix.d, qs.pivot.Indexed())
+
+	cands, common := qs.touched, qs.common[:0]
+	if budget >= 0 && budget < len(cands) {
+		keys := qs.keys[:0]
+		for _, v := range cands {
+			keys = append(keys, rcs.RankKey(qs.slots[v].count, v))
+		}
+		rcs.SelectRanked(keys, budget)
+		cands = cands[:0]
+		for _, key := range keys[:budget] {
+			cands = append(cands, rcs.RankKeyUser(key))
+			common = append(common, rcs.RankKeyCount(key))
+		}
+		qs.keys = keys
+	} else {
+		for _, v := range cands {
+			common = append(common, qs.slots[v].count)
+		}
+	}
+	qs.common = common
+	sims := slices.Grow(qs.sims[:0], len(cands))[:len(cands)]
+	qs.sims = sims
+	ix.metric.ScoreProfile(sims, &qs.pivot, cands, common)
+
+	n := min(k, len(cands))
+	top := knngraph.NewTopK(make([]knngraph.Neighbor, 0, n), n)
+	for i, v := range cands {
+		top.Push(knngraph.Neighbor{ID: v, Sim: sims[i]})
+	}
+	return top.Sorted()
+}
+
+// count is the counting phase for one profile: it bins the items into
+// src's item profiles, leaving every user sharing at least one of them in
+// qs.touched with its shared-item count in qs.slots.
+func (qs *queryScratch) count(src profileSource, items []uint32) {
+	if n := src.NumUsers(); n > len(qs.slots) {
+		// Geometric growth: a population that creeps up by one insert at
+		// a time must not reallocate per query. New slots carry epoch 0,
+		// which is never current.
+		grown := make([]countSlot, max(n, 2*len(qs.slots)))
+		copy(grown, qs.slots)
+		qs.slots = grown
+	}
+	qs.epoch++
+	if qs.epoch == 0 { // wrapped: stale stamps could collide; hard-reset
+		clear(qs.slots)
+		qs.epoch = 1
+	}
+	ep, slots, touched := qs.epoch, qs.slots, qs.touched[:0]
+	for _, it := range items {
+		for _, v := range src.Item(it) {
+			s := &slots[v]
+			if s.epoch != ep {
+				*s = countSlot{epoch: ep, count: 1}
+				touched = append(touched, v)
+			} else {
+				s.count++
 			}
-			i++
-			j++
-		case a < b:
-			i++
-		default:
-			j++
 		}
 	}
-	return s
-}
-
-func logFloat(n int) float64 {
-	return math.Log(float64(n))
+	qs.touched = touched
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"testing"
 
 	"kiff/internal/dataset"
@@ -64,8 +64,8 @@ func TestQueryDisjointProfileFindsNothing(t *testing.T) {
 }
 
 // TestQueryUnlimitedBudgetIsExact: querying with an existing user's own
-// profile must reproduce that user's exact KNN (plus the user itself at
-// similarity 1 in front).
+// profile must reproduce that user's exact KNN under the metric's own
+// pairwise function, the user itself included — bit for bit.
 func TestQueryUnlimitedBudgetIsExact(t *testing.T) {
 	d, err := dataset.Wikipedia.Generate(0.015, 51)
 	if err != nil {
@@ -83,44 +83,20 @@ func TestQueryUnlimitedBudgetIsExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Reference: rank all other users by (sim desc, id asc); the
-			// query profile equals user u's, so u itself appears with
-			// self-similarity — drop it from the reference comparison by
-			// including u and comparing sets.
-			type cand struct {
-				id  uint32
-				sim float64
-			}
-			var all []cand
+			// Reference: every user with a positive similarity, ranked by
+			// (sim desc, id asc).
+			var all []knngraph.Neighbor
 			for v := 0; v < d.NumUsers(); v++ {
-				s := sim(u, uint32(v))
-				if v == int(u) {
-					// Self-similarity: cosine/jaccard/dice = 1 for
-					// non-empty profiles; overlap/adamic vary. Compute via
-					// the index path for consistency.
-					s = ix.evalAgainst(d.Users[u], u)
-				}
-				if s > 0 {
-					all = append(all, cand{uint32(v), s})
+				if s := sim(u, uint32(v)); s > 0 {
+					all = append(all, knngraph.Neighbor{ID: uint32(v), Sim: s})
 				}
 			}
-			sort.Slice(all, func(a, b int) bool {
-				if all[a].sim != all[b].sim {
-					return all[a].sim > all[b].sim
-				}
-				return all[a].id < all[b].id
-			})
+			knngraph.SortNeighbors(all)
 			if len(all) > 5 {
 				all = all[:5]
 			}
-			if len(got) != len(all) {
-				t.Fatalf("%s user %d: got %d results, want %d", name, u, len(got), len(all))
-			}
-			for i := range all {
-				if got[i].ID != all[i].id || math.Abs(got[i].Sim-all[i].sim) > 1e-12 {
-					t.Fatalf("%s user %d: result %d = %v, want (%d, %v)",
-						name, u, i, got[i], all[i].id, all[i].sim)
-				}
+			if !slices.Equal(got, all) {
+				t.Fatalf("%s user %d: Query = %v, want %v", name, u, got, all)
 			}
 		}
 	}

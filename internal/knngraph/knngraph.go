@@ -295,6 +295,64 @@ func SortNeighbors(list []Neighbor) {
 	slices.SortFunc(list, CompareNeighbors)
 }
 
+// TopK keeps the best k entries of a stream under CompareNeighbors: a
+// bounded heap whose root is the worst entry kept, so an entry that does
+// not make the cut costs one comparison. Entries must have distinct IDs;
+// the order is then total and the kept set equals the first k of the
+// fully sorted stream.
+type TopK struct {
+	h []Neighbor
+	k int
+}
+
+// NewTopK starts a selection of at most k entries in buf's backing array
+// (appending past its capacity allocates). Size buf by what the stream
+// can deliver, not by a caller-supplied k.
+func NewTopK(buf []Neighbor, k int) TopK { return TopK{h: buf[:0], k: k} }
+
+// Push offers one entry.
+func (t *TopK) Push(nb Neighbor) {
+	h := t.h
+	if len(h) < t.k {
+		h = append(h, nb)
+		for i := len(h) - 1; i > 0; {
+			p := (i - 1) / 2
+			if CompareNeighbors(h[i], h[p]) <= 0 {
+				break
+			}
+			h[i], h[p] = h[p], h[i]
+			i = p
+		}
+		t.h = h
+		return
+	}
+	if len(h) == 0 || CompareNeighbors(nb, h[0]) >= 0 {
+		return
+	}
+	h[0] = nb
+	for i := 0; ; {
+		w := 2*i + 1
+		if w >= len(h) {
+			break
+		}
+		if r := w + 1; r < len(h) && CompareNeighbors(h[r], h[w]) > 0 {
+			w = r
+		}
+		if CompareNeighbors(h[w], h[i]) <= 0 {
+			break
+		}
+		h[i], h[w] = h[w], h[i]
+		i = w
+	}
+}
+
+// Sorted returns the kept entries in canonical order. It reorders the
+// selection's storage, so push nothing afterwards.
+func (t *TopK) Sorted() []Neighbor {
+	SortNeighbors(t.h)
+	return t.h
+}
+
 // Validate checks structural invariants: no self-loops, no duplicate
 // neighbors, lists sorted and bounded by K.
 func (g *Graph) Validate() error {

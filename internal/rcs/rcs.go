@@ -94,7 +94,7 @@ type BuildStats struct {
 // through it the whole deterministic pipeline) independent of worker
 // count and map iteration order.
 //
-// The batch counting phase sorts packed (rankKey) integers instead of
+// The batch counting phase sorts packed (RankKey) integers instead of
 // calling this comparator — same order, no per-comparison indirection;
 // TestRankKeyMatchesCompareRanked pins the equivalence.
 func CompareRanked(ca, cb int32, a, b uint32) int {
@@ -111,21 +111,59 @@ func CompareRanked(ca, cb int32, a, b uint32) int {
 	return 0
 }
 
-// rankKey packs a candidate and its shared-item count into one uint64
+// RankKey packs a candidate and its shared-item count into one uint64
 // whose ascending natural order equals CompareRanked: the complemented
 // count in the high bits (larger counts sort first), the user ID in the
 // low bits (ascending tie-break). Sorting []uint64 with slices.Sort is
 // several times faster than SortFunc with the comparator closure — and
 // the ranking sort dominates the counting phase.
-func rankKey(count int32, v uint32) uint64 {
+func RankKey(count int32, v uint32) uint64 {
 	return uint64(^uint32(count))<<32 | uint64(v)
 }
 
-// rankKeyUser extracts the user ID from a packed key.
-func rankKeyUser(k uint64) uint32 { return uint32(k) }
+// RankKeyUser extracts the user ID from a packed key.
+func RankKeyUser(k uint64) uint32 { return uint32(k) }
 
-// rankKeyCount extracts the shared-item count from a packed key.
-func rankKeyCount(k uint64) int32 { return int32(^uint32(k >> 32)) }
+// RankKeyCount extracts the shared-item count from a packed key.
+func RankKeyCount(k uint64) int32 { return int32(^uint32(k >> 32)) }
+
+// SelectRanked reorders keys so that keys[:n] hold the n best-ranked
+// (smallest) keys, in no particular order: the budget cut of a ranked
+// candidate list without sorting it. It is a quickselect over the packed
+// keys, expected O(len(keys)); keys of distinct candidates are distinct,
+// so the selected set is unique. n ≥ len(keys) leaves keys as they are.
+func SelectRanked(keys []uint64, n int) {
+	lo, hi := 0, len(keys)-1
+	for lo < hi && n <= hi {
+		// Median of three to keys[hi], then a Lomuto partition around it.
+		mid := int(uint(lo+hi) >> 1)
+		if keys[mid] < keys[lo] {
+			keys[mid], keys[lo] = keys[lo], keys[mid]
+		}
+		if keys[hi] < keys[lo] {
+			keys[hi], keys[lo] = keys[lo], keys[hi]
+		}
+		if keys[mid] < keys[hi] {
+			keys[mid], keys[hi] = keys[hi], keys[mid]
+		}
+		pivot, p := keys[hi], lo
+		for i := lo; i < hi; i++ {
+			if keys[i] < pivot {
+				keys[i], keys[p] = keys[p], keys[i]
+				p++
+			}
+		}
+		keys[p], keys[hi] = keys[hi], keys[p]
+		switch {
+		case p == n:
+			return
+		case p < n:
+			lo = p + 1
+		default:
+			hi = p - 1
+		}
+	}
+}
 
 // Build runs the counting phase.
 func Build(d *dataset.Dataset, opts BuildOptions) *Sets {
@@ -199,12 +237,12 @@ func Build(d *dataset.Dataset, opts BuildOptions) *Sets {
 			} else {
 				keys = keys[:0]
 				for _, v := range touched {
-					keys = append(keys, rankKey(countOf[v], v))
+					keys = append(keys, RankKey(countOf[v], v))
 				}
 				slices.Sort(keys)
 				order = order[:0]
 				for _, k := range keys {
-					order = append(order, rankKeyUser(k))
+					order = append(order, RankKeyUser(k))
 				}
 			}
 			ab.AppendRow(order)
@@ -293,12 +331,12 @@ func CandidatesFor(d *dataset.Dataset, u uint32, opts BuildOptions) []uint32 {
 	}
 	keys := make([]uint64, 0, len(counts))
 	for v, c := range counts {
-		keys = append(keys, rankKey(c, v))
+		keys = append(keys, RankKey(c, v))
 	}
 	slices.Sort(keys)
 	list := make([]uint32, 0, len(keys))
 	for _, k := range keys {
-		list = append(list, rankKeyUser(k))
+		list = append(list, RankKeyUser(k))
 	}
 	return list
 }

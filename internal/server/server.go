@@ -42,14 +42,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"kiff"
+	"kiff/internal/knngraph"
 	"kiff/internal/shard"
 	"kiff/internal/wal"
 )
@@ -888,12 +889,29 @@ type scoredItem struct {
 // score(i) = Σ over neighbors holding i of sim(neighbor) · rating — the
 // classic user-based collaborative filtering step on top of the KNN
 // result, restricted to items the query profile does not already hold.
+// Scores accumulate in neighbor order, then profile order, and the best k
+// are kept in a bounded top-k (score desc, ID asc).
 func recommendItems(src source, profile kiff.Profile, nbs []kiff.Neighbor, k int) []scoredItem {
-	have := make(map[uint32]bool, profile.Len())
-	for _, it := range profile.IDs {
-		have[it] = true
+	// The neighbors' items bound the accumulator; the request's own item
+	// IDs, however large, do not.
+	domain := 0
+	for _, nb := range nbs {
+		if nb.Sim <= 0 {
+			continue
+		}
+		if p, ok := src.Profile(nb.ID); ok && len(p.IDs) > 0 {
+			domain = max(domain, int(p.IDs[len(p.IDs)-1])+1)
+		}
 	}
-	scores := make(map[uint32]float64)
+	acc := itemScoresPool.Get().(*itemScores)
+	defer itemScoresPool.Put(acc)
+	held, scored := acc.begin(domain)
+	for _, it := range profile.IDs {
+		if int(it) >= domain {
+			break
+		}
+		acc.stamp[it] = held
+	}
 	for _, nb := range nbs {
 		if nb.Sim <= 0 {
 			continue
@@ -903,32 +921,61 @@ func recommendItems(src source, profile kiff.Profile, nbs []kiff.Neighbor, k int
 			continue
 		}
 		for i, it := range p.IDs {
-			if !have[it] {
-				scores[it] += nb.Sim * p.Weight(i)
+			switch acc.stamp[it] {
+			case held:
+				continue
+			case scored: // already accumulating from an earlier neighbor
+			default:
+				acc.stamp[it] = scored
+				acc.score[it] = 0
+				acc.touched = append(acc.touched, it)
 			}
+			acc.score[it] += nb.Sim * p.Weight(i)
 		}
 	}
-	out := make([]scoredItem, 0, len(scores))
-	for it, sc := range scores {
-		out = append(out, scoredItem{ID: it, Score: sc})
+	n := min(k, len(acc.touched))
+	top := knngraph.NewTopK(make([]kiff.Neighbor, 0, n), n)
+	for _, it := range acc.touched {
+		top.Push(kiff.Neighbor{ID: it, Sim: acc.score[it]})
 	}
-	slices.SortFunc(out, func(a, b scoredItem) int {
-		switch {
-		case a.Score > b.Score:
-			return -1
-		case a.Score < b.Score:
-			return 1
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		}
-		return 0
-	})
-	if len(out) > k {
-		out = out[:k]
+	best := top.Sorted()
+	out := make([]scoredItem, len(best))
+	for i, nb := range best {
+		out[i] = scoredItem{ID: nb.ID, Score: nb.Sim}
 	}
 	return out
+}
+
+// itemScores is recommendItems' accumulator over the item space: a slot
+// belongs to the current request iff its stamp is one of the request's
+// two epochs (held by the query profile, or scored), so starting a
+// request is an increment, not a clear.
+type itemScores struct {
+	stamp   []uint32
+	score   []float64
+	touched []uint32 // scored items, in first-touch order
+	epoch   uint32
+}
+
+var itemScoresPool = sync.Pool{New: func() any { return new(itemScores) }}
+
+// begin starts a request over items [0, domain) and returns its two
+// epochs.
+func (a *itemScores) begin(domain int) (held, scored uint32) {
+	if domain > len(a.stamp) {
+		n := max(domain, 2*len(a.stamp))
+		stamp := make([]uint32, n)
+		copy(stamp, a.stamp)
+		a.stamp = stamp
+		a.score = make([]float64, n) // a slot's score is reset on first touch
+	}
+	if a.epoch > math.MaxUint32-2 { // about to wrap: hard-reset the stamps
+		clear(a.stamp)
+		a.epoch = 0
+	}
+	a.epoch += 2
+	a.touched = a.touched[:0]
+	return a.epoch - 1, a.epoch
 }
 
 // --- Mutation handlers --------------------------------------------------

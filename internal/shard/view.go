@@ -125,8 +125,9 @@ func (v *View) Query(profile sparse.Vector, k, budget int) ([]knngraph.Neighbor,
 				errs[s] = err
 				return
 			}
+			// Relabel in place: the shard's answer is a fresh slice.
 			glob := v.m.global[s]
-			out := make([]knngraph.Neighbor, 0, len(res))
+			out := res[:0]
 			for _, nb := range res {
 				if int(nb.ID) < len(glob) {
 					out = append(out, knngraph.Neighbor{ID: glob[nb.ID], Sim: nb.Sim})

@@ -19,7 +19,6 @@
 package similarity
 
 import (
-	"math"
 	"sync/atomic"
 
 	"kiff/internal/dataset"
@@ -208,14 +207,12 @@ func (Cosine) PrepareIncrementalBatch(d *dataset.Dataset) (Func, BatchFactory, f
 
 // --- Count-only metrics (Jaccard, Overlap, Dice) ------------------------
 
-// countBatcher gathers |u ∩ v| per candidate and hands it to finish —
-// the shared kernel of the set-based metrics.
+// countBatcher gathers |u ∩ v| per candidate and finishes it through the
+// metric's countForm — the shared kernel of the set-based metrics.
 type countBatcher struct {
 	d       *dataset.Dataset
 	scratch sparse.Scratch
-	// finish maps the shared count and the two profile lengths to the
-	// metric value; common is 0-checked by the caller.
-	finish func(common, lenU, lenV int) float64
+	form    countForm
 	// pair is the metric's pairwise form, used when the pivot overflows
 	// the scratch domain.
 	pair Func
@@ -232,24 +229,17 @@ func (b *countBatcher) ScoreInto(dst []float64, u uint32, cands []uint32) {
 	}
 	b.scratch.Stamp(sparse.Vector{IDs: pu.IDs}) // count-only: weights irrelevant
 	for i, v := range cands {
-		common := b.scratch.CountCommon(users[v])
-		if common == 0 {
-			dst[i] = 0
-			continue
-		}
-		dst[i] = b.finish(common, pu.Len(), users[v].Len())
+		dst[i] = b.form.of(b.scratch.CountCommon(users[v]), pu.Len(), users[v].Len())
 	}
 }
 
-// PrepareBatch implements BatchMetric.
-func (Jaccard) PrepareBatch(d *dataset.Dataset) BatchFactory {
-	pair := Jaccard{}.Prepare(d)
-	return func() Batcher {
-		return &countBatcher{d: d, pair: pair, finish: func(common, lenU, lenV int) float64 {
-			return float64(common) / float64(lenU+lenV-common)
-		}}
-	}
+func (f countForm) prepareBatch(d *dataset.Dataset) BatchFactory {
+	pair := f.prepare(d)
+	return func() Batcher { return &countBatcher{d: d, form: f, pair: pair} }
 }
+
+// PrepareBatch implements BatchMetric.
+func (Jaccard) PrepareBatch(d *dataset.Dataset) BatchFactory { return jaccardForm.prepareBatch(d) }
 
 // PrepareIncrementalBatch implements IncrementalBatch; Jaccard keeps no
 // per-user state, so refresh is free.
@@ -259,14 +249,7 @@ func (Jaccard) PrepareIncrementalBatch(d *dataset.Dataset) (Func, BatchFactory, 
 }
 
 // PrepareBatch implements BatchMetric.
-func (Overlap) PrepareBatch(d *dataset.Dataset) BatchFactory {
-	pair := Overlap{}.Prepare(d)
-	return func() Batcher {
-		return &countBatcher{d: d, pair: pair, finish: func(common, _, _ int) float64 {
-			return float64(common)
-		}}
-	}
-}
+func (Overlap) PrepareBatch(d *dataset.Dataset) BatchFactory { return overlapForm.prepareBatch(d) }
 
 // PrepareIncrementalBatch implements IncrementalBatch.
 func (Overlap) PrepareIncrementalBatch(d *dataset.Dataset) (Func, BatchFactory, func(uint32)) {
@@ -275,14 +258,7 @@ func (Overlap) PrepareIncrementalBatch(d *dataset.Dataset) (Func, BatchFactory, 
 }
 
 // PrepareBatch implements BatchMetric.
-func (Dice) PrepareBatch(d *dataset.Dataset) BatchFactory {
-	pair := Dice{}.Prepare(d)
-	return func() Batcher {
-		return &countBatcher{d: d, pair: pair, finish: func(common, lenU, lenV int) float64 {
-			return 2 * float64(common) / float64(lenU+lenV)
-		}}
-	}
-}
+func (Dice) PrepareBatch(d *dataset.Dataset) BatchFactory { return diceForm.prepareBatch(d) }
 
 // PrepareIncrementalBatch implements IncrementalBatch.
 func (Dice) PrepareIncrementalBatch(d *dataset.Dataset) (Func, BatchFactory, func(uint32)) {
@@ -328,12 +304,7 @@ func (b *adamicBatcher) ScoreInto(dst []float64, u uint32, cands []uint32) {
 // intact).
 func (AdamicAdar) PrepareBatch(d *dataset.Dataset) BatchFactory {
 	d.EnsureItemProfiles()
-	invLog := make([]float64, len(d.Items))
-	for i, ip := range d.Items {
-		if len(ip) >= 2 {
-			invLog[i] = 1 / math.Log(float64(len(ip)))
-		}
-	}
+	invLog := invLogTable(d)
 	pair := AdamicAdar{}.Prepare(d)
 	return func() Batcher { return &adamicBatcher{d: d, invLog: invLog, pair: pair} }
 }

@@ -15,7 +15,8 @@
 //
 // The pairwise Func is the reference implementation; the hot construction
 // loops score through the one-vs-many kernels of batch.go (BatchMetric),
-// which are property-tested bit-for-bit equal to it.
+// and single-profile queries through ScoreProfile (profile.go). Both are
+// property-tested bit-for-bit equal to it.
 package similarity
 
 import (
@@ -38,6 +39,12 @@ type Metric interface {
 	// Prepare binds the metric to a dataset and returns the pairwise
 	// function. Prepare may precompute per-user or per-item state.
 	Prepare(d *dataset.Dataset) Func
+	// ScoreProfile fills dst[i] with the similarity between the pivot's
+	// external profile and user cands[i] of the pivot's source; common[i]
+	// must be their shared-item count |p ∩ cands[i]|, which the caller's
+	// counting phase has at hand. len(dst) and len(common) must equal
+	// len(cands). See profile.go.
+	ScoreProfile(dst []float64, pv *Pivot, cands []uint32, common []int32)
 }
 
 // Incremental is an optional Metric extension for append-only mutating
@@ -133,29 +140,12 @@ type Jaccard struct{}
 func (Jaccard) Name() string { return "jaccard" }
 
 // Prepare implements Metric.
-func (Jaccard) Prepare(d *dataset.Dataset) Func {
-	users := d.Users
-	return func(u, v uint32) float64 {
-		inter := sparse.CommonCount(users[u], users[v])
-		if inter == 0 {
-			return 0
-		}
-		union := users[u].Len() + users[v].Len() - inter
-		return float64(inter) / float64(union)
-	}
-}
+func (Jaccard) Prepare(d *dataset.Dataset) Func { return jaccardForm.prepare(d) }
 
 // PrepareIncremental implements Incremental; Jaccard keeps no per-user
 // state, so refreshing is free and only the profile re-read matters.
 func (Jaccard) PrepareIncremental(d *dataset.Dataset) (Func, func(uint32)) {
-	return func(u, v uint32) float64 {
-		inter := sparse.CommonCount(d.Users[u], d.Users[v])
-		if inter == 0 {
-			return 0
-		}
-		union := d.Users[u].Len() + d.Users[v].Len() - inter
-		return float64(inter) / float64(union)
-	}, func(uint32) {}
+	return jaccardForm.prepareIncremental(d)
 }
 
 // AdamicAdar is the Adamic–Adar coefficient Σ_{i∈A∩B} 1/ln|IPi|: shared
@@ -171,14 +161,7 @@ func (AdamicAdar) Name() string { return "adamic-adar" }
 func (AdamicAdar) Prepare(d *dataset.Dataset) Func {
 	d.EnsureItemProfiles()
 	users := d.Users
-	invLog := make([]float64, len(d.Items))
-	for i, ip := range d.Items {
-		if len(ip) >= 2 {
-			invLog[i] = 1 / math.Log(float64(len(ip)))
-		}
-		// Items rated by a single user can never be shared; leaving 0
-		// keeps Eq. (5) intact even if they were.
-	}
+	invLog := invLogTable(d)
 	return func(u, v uint32) float64 {
 		var s float64
 		a, b := users[u], users[v]
@@ -200,6 +183,25 @@ func (AdamicAdar) Prepare(d *dataset.Dataset) Func {
 	}
 }
 
+// invLogDegree is an item's Adamic–Adar weight 1/ln|IPi| from its degree
+// |IPi|. Items rated by a single user can never be shared between two
+// users; weighting them 0 keeps Eq. (5) intact even if they were.
+func invLogDegree(n int) float64 {
+	if n < 2 {
+		return 0
+	}
+	return 1 / math.Log(float64(n))
+}
+
+// invLogTable precomputes every item's invLogDegree.
+func invLogTable(d *dataset.Dataset) []float64 {
+	invLog := make([]float64, len(d.Items))
+	for i, ip := range d.Items {
+		invLog[i] = invLogDegree(len(ip))
+	}
+	return invLog
+}
+
 // Overlap is the raw common-item count |A∩B| — the coarse metric KIFF's
 // counting phase uses implicitly. Exposed as a metric so the Fig 7
 // experiment can rank candidates by it directly.
@@ -209,18 +211,11 @@ type Overlap struct{}
 func (Overlap) Name() string { return "overlap" }
 
 // Prepare implements Metric.
-func (Overlap) Prepare(d *dataset.Dataset) Func {
-	users := d.Users
-	return func(u, v uint32) float64 {
-		return float64(sparse.CommonCount(users[u], users[v]))
-	}
-}
+func (Overlap) Prepare(d *dataset.Dataset) Func { return overlapForm.prepare(d) }
 
 // PrepareIncremental implements Incremental; Overlap is stateless.
 func (Overlap) PrepareIncremental(d *dataset.Dataset) (Func, func(uint32)) {
-	return func(u, v uint32) float64 {
-		return float64(sparse.CommonCount(d.Users[u], d.Users[v]))
-	}, func(uint32) {}
+	return overlapForm.prepareIncremental(d)
 }
 
 // Dice is the Sørensen–Dice coefficient 2|A∩B| / (|A|+|B|).
@@ -230,24 +225,50 @@ type Dice struct{}
 func (Dice) Name() string { return "dice" }
 
 // Prepare implements Metric.
-func (Dice) Prepare(d *dataset.Dataset) Func {
-	users := d.Users
-	return func(u, v uint32) float64 {
-		inter := sparse.CommonCount(users[u], users[v])
-		if inter == 0 {
-			return 0
-		}
-		return 2 * float64(inter) / float64(users[u].Len()+users[v].Len())
-	}
-}
+func (Dice) Prepare(d *dataset.Dataset) Func { return diceForm.prepare(d) }
 
 // PrepareIncremental implements Incremental; Dice is stateless.
 func (Dice) PrepareIncremental(d *dataset.Dataset) (Func, func(uint32)) {
+	return diceForm.prepareIncremental(d)
+}
+
+// countForm is the one definition of a set-based metric (Jaccard,
+// Overlap, Dice): its value from the shared-item count |A∩B| and the two
+// profile lengths. The pairwise functions, the batch kernels and the
+// profile-pivot scorer all finish through it.
+type countForm func(common, lenA, lenB int) float64
+
+var (
+	jaccardForm countForm = func(common, lenA, lenB int) float64 {
+		return float64(common) / float64(lenA+lenB-common)
+	}
+	overlapForm countForm = func(common, _, _ int) float64 { return float64(common) }
+	diceForm    countForm = func(common, lenA, lenB int) float64 {
+		return 2 * float64(common) / float64(lenA+lenB)
+	}
+)
+
+// of evaluates the form, scoring disjoint profiles 0 (Eq. 5).
+func (f countForm) of(common, lenA, lenB int) float64 {
+	if common == 0 {
+		return 0
+	}
+	return f(common, lenA, lenB)
+}
+
+func (f countForm) prepare(d *dataset.Dataset) Func {
+	users := d.Users
 	return func(u, v uint32) float64 {
-		inter := sparse.CommonCount(d.Users[u], d.Users[v])
-		if inter == 0 {
-			return 0
-		}
-		return 2 * float64(inter) / float64(d.Users[u].Len()+d.Users[v].Len())
+		a, b := users[u], users[v]
+		return f.of(sparse.CommonCount(a, b), a.Len(), b.Len())
+	}
+}
+
+// prepareIncremental re-reads profiles through d, so appends (which may
+// reallocate d.Users) are observed; there is no per-user state to refresh.
+func (f countForm) prepareIncremental(d *dataset.Dataset) (Func, func(uint32)) {
+	return func(u, v uint32) float64 {
+		a, b := d.Users[u], d.Users[v]
+		return f.of(sparse.CommonCount(a, b), a.Len(), b.Len())
 	}, func(uint32) {}
 }

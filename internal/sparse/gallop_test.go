@@ -49,10 +49,10 @@ func mergeDot(a, b Vector) float64 {
 func TestGallopMatchesMerge(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 300; trial++ {
-		// Short side up to 8 entries, long side well past gallopRatio×
+		// Short side up to 8 entries, long side well past GallopRatio×
 		// that, so the adaptive cutover is exercised on every trial.
 		short := randScratchVector(r, 5000, r.Intn(8), false)
-		long := randScratchVector(r, 5000, gallopRatio*10+r.Intn(400), false)
+		long := randScratchVector(r, 5000, GallopRatio*10+r.Intn(400), false)
 		for _, pair := range [][2]Vector{{short, long}, {long, short}} {
 			a, b := pair[0], pair[1]
 			if got, want := CommonCount(a, b), mergeCommon(a, b); got != want {

@@ -5,26 +5,26 @@ import (
 	"slices"
 )
 
-// gallopRatio is the length skew at which the pairwise kernels switch
+// GallopRatio is the length skew at which the pairwise kernels switch
 // from the linear merge to a galloping (exponential-search) intersection:
 // when one profile is at least this many times longer than the other, it
 // is cheaper to binary-search the long side per element of the short side
 // than to walk it. The profile-size distributions of the paper's datasets
 // are heavy-tailed (Fig 4), so such skewed pairs are common whenever a
 // hub user is involved.
-const gallopRatio = 16
+const GallopRatio = 16
 
 // CommonCount returns |a ∩ b|, the number of shared identifiers.
 //
 // This is the cheap coarse similarity at the heart of KIFF's counting phase
 // (§II-A): it involves only integer comparisons, no floating point, and its
 // value upper-bounds every overlap-based similarity metric. Heavily skewed
-// pairs take the galloping path (see gallopRatio); the result is identical.
+// pairs take the galloping path (see GallopRatio); the result is identical.
 func CommonCount(a, b Vector) int {
 	if len(a.IDs) > len(b.IDs) {
 		a, b = b, a
 	}
-	if len(b.IDs) >= gallopRatio*len(a.IDs) {
+	if len(b.IDs) >= GallopRatio*len(a.IDs) {
 		return commonCountGallop(a.IDs, b.IDs)
 	}
 	n := 0
@@ -114,7 +114,7 @@ func Dot(a, b Vector) float64 {
 	if len(a.IDs) > len(b.IDs) {
 		a, b = b, a
 	}
-	if len(b.IDs) >= gallopRatio*len(a.IDs) {
+	if len(b.IDs) >= GallopRatio*len(a.IDs) {
 		return dotGallop(a, b)
 	}
 	var s float64

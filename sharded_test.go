@@ -16,6 +16,12 @@ import (
 // randShardDataset draws a random bipartite dataset with enough item
 // overlap for queries to have non-trivial answers.
 func randShardDataset(r *rand.Rand, users int) *Dataset {
+	profiles := randShardProfiles(r, users)
+	return dataset.FromProfiles("shardrand", profiles, r.Intn(2) == 0)
+}
+
+// randShardProfiles draws the rating maps of randShardDataset.
+func randShardProfiles(r *rand.Rand, users int) []map[uint32]float64 {
 	items := 5 + r.Intn(25)
 	profiles := make([]map[uint32]float64, users)
 	for u := range profiles {
@@ -26,30 +32,36 @@ func randShardDataset(r *rand.Rand, users int) *Dataset {
 		}
 		profiles[u] = m
 	}
-	return dataset.FromProfiles("shardrand", profiles, r.Intn(2) == 0)
+	return profiles
 }
 
-// randQuery draws a query profile over the dataset's item space.
+// randQuery draws a weighted query profile over the dataset's item space.
 func randQuery(r *rand.Rand, d *Dataset) Profile {
+	return ProfileFromMap(randQueryMap(r, d), false)
+}
+
+func randQueryMap(r *rand.Rand, d *Dataset) map[uint32]float64 {
 	m := map[uint32]float64{}
 	n := 1 + r.Intn(5)
 	for i := 0; i < n; i++ {
 		m[uint32(r.Intn(d.NumItems()))] = float64(1 + r.Intn(5))
 	}
-	return ProfileFromMap(m, false)
+	return m
 }
 
 // TestShardedQueryMatchesSingle is the pinned-equality property of the
-// scatter-gather layer: for the profile-local metrics, an exact sharded
-// Query must return exactly the single-Maintainer answer — same members,
-// same order, bit-identical similarities — across random datasets, shard
-// counts and query profiles.
+// scatter-gather layer: for the four profile-local metrics, an exact
+// sharded Query must return exactly the single-Maintainer answer — same
+// members, same order, bit-identical similarities — across binary and
+// weighted random datasets, shard counts and binary and weighted query
+// profiles.
 func TestShardedQueryMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, metric := range []string{"cosine", "jaccard"} {
+	for _, metric := range []string{"cosine", "jaccard", "dice", "overlap"} {
 		for _, shards := range []int{2, 3, 5} {
 			for round := 0; round < 6; round++ {
-				d := randShardDataset(rng, 20+rng.Intn(60))
+				binary := round%2 == 0
+				d := dataset.FromProfiles("shardrand", randShardProfiles(rng, 20+rng.Intn(60)), binary)
 				k := 1 + rng.Intn(8)
 				opts := Options{K: k, Metric: metric}
 				single, err := NewMaintainer(d, opts)
@@ -65,7 +77,7 @@ func TestShardedQueryMatchesSingle(t *testing.T) {
 						pool.NumUsers(), pool.K(), pool.NumShards(), d.NumUsers(), k, shards)
 				}
 				for q := 0; q < 10; q++ {
-					profile := randQuery(rng, d)
+					profile := ProfileFromMap(randQueryMap(rng, d), q%2 == 0)
 					want, err := single.Snapshot().Query(profile, k, -1)
 					if err != nil {
 						t.Fatalf("single query: %v", err)
@@ -75,13 +87,13 @@ func TestShardedQueryMatchesSingle(t *testing.T) {
 						t.Fatalf("sharded query: %v", err)
 					}
 					if len(got) != len(want) {
-						t.Fatalf("metric=%s shards=%d: sharded query returned %d results, single %d\n got: %v\nwant: %v",
-							metric, shards, len(got), len(want), got, want)
+						t.Fatalf("metric=%s shards=%d binary=%v: sharded query returned %d results, single %d\n got: %v\nwant: %v",
+							metric, shards, binary, len(got), len(want), got, want)
 					}
 					for i := range want {
 						if got[i] != want[i] {
-							t.Fatalf("metric=%s shards=%d k=%d: result %d = %+v, single-maintainer %+v\n got: %v\nwant: %v",
-								metric, shards, k, i, got[i], want[i], got, want)
+							t.Fatalf("metric=%s shards=%d binary=%v k=%d: result %d = %+v, single-maintainer %+v\n got: %v\nwant: %v",
+								metric, shards, binary, k, i, got[i], want[i], got, want)
 						}
 					}
 				}
