@@ -11,7 +11,9 @@ package kiff
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math/rand"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -569,6 +571,54 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 		if err := m.Rebuild(nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMaintainerRating measures one rating write on the fixtures the
+// kiffload benchmark serves (wikipedia at scale 1, gowalla at scale 0.1,
+// k = 20): an AddRating of an item the user has not rated, to a user
+// holding at most 64 items as kiffload draws them, then the single-user
+// Rebuild(nil) and its publication. BenchmarkSnapshotPublish runs on a
+// fixture too small for a cost that grows with |U| to show.
+func BenchmarkMaintainerRating(b *testing.B) {
+	for _, fx := range []struct {
+		preset string
+		scale  float64
+	}{{"wikipedia", 1}, {"gowalla", 0.1}} {
+		var m *Maintainer
+		rng := rand.New(rand.NewSource(1))
+		b.Run(fmt.Sprintf("%s-%g", fx.preset, fx.scale), func(b *testing.B) {
+			if m == nil {
+				d, err := GeneratePreset(fx.preset, fx.scale, 42)
+				benchErr(b, err)
+				m, err = NewMaintainer(d, Options{K: 20})
+				benchErr(b, err)
+				b.ResetTimer()
+			}
+			d := m.Dataset()
+			binary := d.Binary()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				u := uint32(rng.Intn(d.NumUsers()))
+				for d.User(u).Len() > 64 {
+					u = uint32(rng.Intn(d.NumUsers()))
+				}
+				item := uint32(rng.Intn(d.NumItems()))
+				for d.User(u).Contains(item) {
+					item = uint32(rng.Intn(d.NumItems()))
+				}
+				rating := 1.0
+				if !binary {
+					rating = float64(1 + rng.Intn(8))
+				}
+				if err := m.AddRating(u, item, rating); err != nil {
+					b.Fatal(err)
+				}
+				if err := m.Rebuild(nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -471,7 +471,8 @@ func (p *Pool) AddRating(g uint32, item uint32, rating float64) error {
 // Rebuild. dirty lists global user IDs (nil = every user any shard has
 // marked dirty). The per-shard rebuilds run in parallel — rebuild
 // latency scales down with the shard count both from the parallelism and
-// from each shard's O(|U|/N · k) eviction scan.
+// from each shard's item profiles holding ~1/N of the co-raters that
+// candidate patching and eviction walk.
 func (p *Pool) Rebuild(dirty []uint32) error {
 	m := p.mapping.Load()
 	var perShard map[int][]uint32
