@@ -505,8 +505,9 @@ func benchCheckpoint(b *testing.B) (gpath, dpath string) {
 }
 
 // BenchmarkGraphLoadHeap vs BenchmarkGraphLoadMapped pin the mmap-path
-// property: the heap load allocates O(edges), the mapped load O(1) —
-// compare allocs/op and bytes/op between the two.
+// property: the heap load allocates O(edges), the mapped load only the
+// O(|U|) row headers while the edge payload stays mapped — compare
+// allocs/op and bytes/op between the two.
 func BenchmarkGraphLoadHeap(b *testing.B) {
 	gpath, _ := benchCheckpoint(b)
 	b.ReportAllocs()
@@ -574,30 +575,50 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 	}
 }
 
-// BenchmarkMaintainerRating measures one rating write on the fixtures the
+// BenchmarkMaintainerRating measures one write on the fixtures the
 // kiffload benchmark serves (wikipedia at scale 1, gowalla at scale 0.1,
-// k = 20): an AddRating of an item the user has not rated, to a user
-// holding at most 64 items as kiffload draws them, then the single-user
-// Rebuild(nil) and its publication. BenchmarkSnapshotPublish runs on a
-// fixture too small for a cost that grows with |U| to show.
+// k = 20). The rating sub-benchmarks add an item the user has not rated,
+// to a user holding at most 64 items as kiffload draws them, then run
+// the single-user Rebuild(nil) and its publication. The insert-*
+// sub-benchmarks Insert a new user's profile drawn the way kiffload's
+// insert stream draws it; the population therefore grows with b.N.
+// Besides ns/op, each reports the publication's share from the
+// maintainer's counters: publish-µs/op and pages-copied/op (graph and
+// dataset-header pages replaced per write). BenchmarkSnapshotPublish
+// runs on a fixture too small for a cost that grows with |U| to show.
 func BenchmarkMaintainerRating(b *testing.B) {
 	for _, fx := range []struct {
 		preset string
 		scale  float64
 	}{{"wikipedia", 1}, {"gowalla", 0.1}} {
-		var m *Maintainer
+		var (
+			m      *Maintainer
+			n0     int // the fixture's own users, the pool insert profiles come from
+			binary bool
+		)
 		rng := rand.New(rand.NewSource(1))
-		b.Run(fmt.Sprintf("%s-%g", fx.preset, fx.scale), func(b *testing.B) {
+		setup := func(b *testing.B) {
 			if m == nil {
 				d, err := GeneratePreset(fx.preset, fx.scale, 42)
 				benchErr(b, err)
 				m, err = NewMaintainer(d, Options{K: 20})
 				benchErr(b, err)
-				b.ResetTimer()
+				n0, binary = d.NumUsers(), d.Binary()
 			}
-			d := m.Dataset()
-			binary := d.Binary()
 			b.ReportAllocs()
+			b.ResetTimer()
+		}
+		rating := func() float64 {
+			if binary {
+				return 1
+			}
+			return float64(1 + rng.Intn(8))
+		}
+		name := fmt.Sprintf("%s-%g", fx.preset, fx.scale)
+		b.Run(name, func(b *testing.B) {
+			setup(b)
+			d := m.Dataset()
+			before := m.Counters()
 			for i := 0; i < b.N; i++ {
 				u := uint32(rng.Intn(d.NumUsers()))
 				for d.User(u).Len() > 64 {
@@ -607,19 +628,59 @@ func BenchmarkMaintainerRating(b *testing.B) {
 				for d.User(u).Contains(item) {
 					item = uint32(rng.Intn(d.NumItems()))
 				}
-				rating := 1.0
-				if !binary {
-					rating = float64(1 + rng.Intn(8))
-				}
-				if err := m.AddRating(u, item, rating); err != nil {
+				if err := m.AddRating(u, item, rating()); err != nil {
 					b.Fatal(err)
 				}
 				if err := m.Rebuild(nil); err != nil {
 					b.Fatal(err)
 				}
 			}
+			reportPublish(b, before, m.Counters())
+		})
+		b.Run("insert-"+name, func(b *testing.B) {
+			setup(b)
+			d := m.Dataset()
+			before := m.Counters()
+			for i := 0; i < b.N; i++ {
+				// A fixture user's profile with a fifth of its items
+				// dropped (keeping at least one), at most 64 of the rest
+				// kept, and two items it lacks added.
+				p := d.User(uint32(rng.Intn(n0)))
+				var keep []int
+				for j := range p.IDs {
+					if rng.Float64() >= 0.2 {
+						keep = append(keep, j)
+					}
+				}
+				if len(keep) == 0 && p.Len() > 0 {
+					keep = append(keep, rng.Intn(p.Len()))
+				}
+				rng.Shuffle(len(keep), func(a, c int) { keep[a], keep[c] = keep[c], keep[a] })
+				ratings := make(map[uint32]float64, 66)
+				for _, j := range keep[:min(len(keep), 64)] {
+					ratings[p.IDs[j]] = p.Weight(j)
+				}
+				for added := 0; added < 2; {
+					it := uint32(rng.Intn(d.NumItems()))
+					if _, ok := ratings[it]; !ok {
+						ratings[it] = rating()
+						added++
+					}
+				}
+				if _, err := m.Insert(ProfileFromMap(ratings, binary)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportPublish(b, before, m.Counters())
 		})
 	}
+}
+
+// reportPublish reports the publication cost per benchmark op from two
+// maintainer counter readings taken around the b.N loop.
+func reportPublish(b *testing.B, before, after Counters) {
+	b.ReportMetric(float64(after.PublishNs-before.PublishNs)/1e3/float64(b.N), "publish-µs/op")
+	b.ReportMetric(float64(after.PagesCopied-before.PagesCopied)/float64(b.N), "pages-copied/op")
 }
 
 // BenchmarkSnapshotQuery measures the reader-side serving path: a

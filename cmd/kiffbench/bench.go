@@ -21,7 +21,6 @@ import (
 	"kiff"
 	"kiff/internal/core"
 	"kiff/internal/dataset"
-	"kiff/internal/knngraph"
 	"kiff/internal/rcs"
 	"kiff/internal/wal"
 )
@@ -486,7 +485,7 @@ func runBenchOut(path string, opts benchOptions, stderr io.Writer) error {
 			}
 		})
 		if filter.selects("snapshot-publish-incremental") {
-			res, err := measureIncrementalPublish(m4, d4, k)
+			res, err := measureIncrementalPublish(m4, d4)
 			if err != nil {
 				return err
 			}
@@ -659,11 +658,10 @@ func runBenchOut(path string, opts benchOptions, stderr io.Writer) error {
 // maintainer and reports the amortized publish() cost from the
 // publication counters: ns_per_op is ΔPublishNs/ΔPublishes, the page
 // stats are the per-publish copy-on-write accounting, and bytes_per_op
-// is the record bytes those copied pages amount to at full occupancy
-// (PageUsers rows × k neighbors × 16 bytes per record) — an upper bound
-// on the graph data rebuilt per publish. allocs_per_op is not measurable
-// through counters and stays 0.
-func measureIncrementalPublish(m *kiff.Maintainer, d *kiff.Dataset, k int) (benchResult, error) {
+// is the edge-record bytes exported into dirty rows per publish
+// (ΔEntriesCopied × 16 bytes per record). allocs_per_op is not
+// measurable through counters and stays 0.
+func measureIncrementalPublish(m *kiff.Maintainer, d *kiff.Dataset) (benchResult, error) {
 	const name = "snapshot-publish-incremental"
 	const ops = 256
 	// Warm-up inserts move the maintainer past the first (full)
@@ -685,13 +683,12 @@ func measureIncrementalPublish(m *kiff.Maintainer, d *kiff.Dataset, k int) (benc
 	if pubs <= 0 {
 		return benchResult{}, fmt.Errorf("kiffbench: %s: no publications recorded over %d inserts", name, ops)
 	}
-	copiedPerOp := float64(after.PagesCopied-before.PagesCopied) / float64(pubs)
 	return benchResult{
 		Name:             name,
 		NsPerOp:          float64(after.PublishNs-before.PublishNs) / float64(pubs),
-		BytesPerOp:       int64(copiedPerOp * float64(knngraph.PageUsers*k*16)),
+		BytesPerOp:       (after.EntriesCopied - before.EntriesCopied) * 16 / pubs,
 		Tolerance:        benchTolerances[name],
-		PagesCopiedPerOp: copiedPerOp,
+		PagesCopiedPerOp: float64(after.PagesCopied-before.PagesCopied) / float64(pubs),
 		PagesSharedPerOp: float64(after.PagesShared-before.PagesShared) / float64(pubs),
 	}, nil
 }

@@ -104,15 +104,20 @@ func checkSnapshotMatchesScratch(t *testing.T, m *Maintainer, opts Options, rng 
 // checks every published snapshot against a from-scratch export, while a
 // concurrent reader hammers the publication pointer (the -race target of
 // CI's race job). A mid-stream snapshot is pinned and must stay
-// bit-identical after every later publication.
+// bit-identical after every later publication. The populations span two
+// pages and eleven: on the larger one most publications replace pages
+// that are only partly dirty, whose clean rows stay shared with snapshots
+// published many versions earlier.
 func TestCOWMutationStream(t *testing.T) {
 	cases := []struct {
 		seed   int64
 		metric string
+		users  int
 	}{
-		{seed: 1, metric: "cosine"},
-		{seed: 7, metric: "jaccard"},
-		{seed: 42, metric: "adamic-adar"},
+		{seed: 1, metric: "cosine", users: 100},
+		{seed: 7, metric: "jaccard", users: 100},
+		{seed: 42, metric: "adamic-adar", users: 100},
+		{seed: 3, metric: "dice", users: 700},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -120,7 +125,7 @@ func TestCOWMutationStream(t *testing.T) {
 			const items = 60
 			opts := Options{K: 5, Metric: tc.metric}
 			rng := rand.New(rand.NewSource(tc.seed))
-			profiles := make([]Profile, 100) // > one 64-user page
+			profiles := make([]Profile, tc.users)
 			for u := range profiles {
 				profiles[u] = randomProfile(rng, items)
 			}
@@ -300,9 +305,17 @@ func TestCOWMutationStreamPool(t *testing.T) {
 		}
 	}
 
-	// Publication counters reflect copy-on-write: pages were shared.
+	// Publication counters reflect copy-on-write: pages were shared. The
+	// pool's counters are the sum of its shards'.
 	c := pool.Counters()
-	if c.Publishes == 0 || c.PagesShared == 0 {
+	if c.Publishes == 0 || c.PagesShared == 0 || c.EntriesCopied == 0 {
 		t.Fatalf("pool counters show no COW activity: %+v", c)
+	}
+	var sum Counters
+	for _, m := range ms {
+		sum.Add(m.Counters())
+	}
+	if c != sum {
+		t.Fatalf("pool counters %+v, shard sum %+v", c, sum)
 	}
 }

@@ -16,6 +16,10 @@
 // producers that discover row contents on the fly) or by a Filler
 // (two-pass counted fill, for producers that know every row length up
 // front, like the item-profile inversion).
+//
+// Published snapshots hold their rows in paged row tables instead
+// (pages.go), which successive snapshots share and patch copy-on-write
+// through PatchPages.
 package arena
 
 import "fmt"

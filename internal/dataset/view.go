@@ -4,27 +4,22 @@ package dataset
 // kiff.Snapshot: the writer keeps mutating the live Dataset while any
 // number of readers serve from Views published earlier. Row storage was
 // always safe to share (mutations replace whole rows or append past
-// published lengths — see the Dataset doc); what used to cost O(|U|+|I|)
-// per publication was copying the header arrays. Views therefore chunk
-// the headers into fixed-size pages, and the Dataset remembers the last
-// View it produced plus the rows dirtied since: the next View() copies
-// only the pages containing dirty rows and shares every other page with
-// its predecessor, making dataset publication O(dirty pages).
+// published lengths — see the Dataset doc); what would cost O(|U|+|I|)
+// per publication is copying the header arrays. Views therefore keep the
+// headers in internal/arena's paged row tables, and the Dataset
+// remembers the last View it produced plus the rows dirtied since: the
+// next View() copies the previous page tables and replaces only the
+// pages holding a dirty or appended row (arena.PatchPages), sharing
+// every other page with its predecessor — O(dirty pages · 64) header
+// copies plus an O((|U|+|I|)/64) table copy.
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 
+	"kiff/internal/arena"
 	"kiff/internal/sparse"
-)
-
-const (
-	// viewPageShift sets the header page granularity (users or items per
-	// page), matching knngraph's page size so the publication stats count
-	// in one unit.
-	viewPageShift = 6
-	// ViewPageRows is the number of row headers per view page.
-	ViewPageRows = 1 << viewPageShift
 )
 
 // View is an immutable, page-shared snapshot of a Dataset: the user and
@@ -51,13 +46,13 @@ func (v *View) NumItems() int { return v.numItems }
 
 // User returns user u's frozen profile (do not mutate).
 func (v *View) User(u uint32) sparse.Vector {
-	return v.users[u>>viewPageShift][u&(ViewPageRows-1)]
+	return v.users[u>>arena.PageShift][u&(arena.PageRows-1)]
 }
 
 // Item returns item i's frozen inverted-index row, the users that rated
 // i in ascending order (do not mutate).
 func (v *View) Item(i uint32) []uint32 {
-	return v.items[i>>viewPageShift][i&(ViewPageRows-1)]
+	return v.items[i>>arena.PageShift][i&(arena.PageRows-1)]
 }
 
 // NumRatings returns |E| at the publication point.
@@ -154,67 +149,25 @@ func (d *Dataset) LastViewStats() (copied, shared int) {
 	return d.vc.copied, d.vc.shared
 }
 
-// viewPages returns the page count covering n rows.
-func viewPages(n int) int { return (n + ViewPageRows - 1) >> viewPageShift }
-
-// dirtyPageSet folds a dirty-row set into its covering page set.
-func dirtyPageSet(rows map[uint32]struct{}) map[int]struct{} {
-	if len(rows) == 0 {
-		return nil
-	}
-	pages := make(map[int]struct{}, len(rows))
-	for r := range rows {
-		pages[int(r)>>viewPageShift] = struct{}{}
-	}
-	return pages
-}
-
 // View returns a frozen snapshot of the dataset (see View's doc). The
 // item-profile index is built first if missing, so views are always
-// query-ready. Publication is copy-on-write at page granularity: pages
-// without a dirty row are shared with the previously returned View, so
-// after the first call the cost is O(dirty pages), not O(|U| + |I|).
-// View is writer-side (it must not race mutations), like every mutator.
+// query-ready. Publication is copy-on-write: pages without a dirty row
+// are shared with the previously returned View and only the others are
+// replaced, so after the first call the cost is O(dirty pages) plus the
+// page-table copy, not O(|U| + |I|). View is writer-side (it must not
+// race mutations), like every mutator.
 func (d *Dataset) View() *View {
 	d.EnsureItemProfiles()
-	nU, nI := len(d.Users), len(d.Items)
-	v := &View{
-		name:     d.Name,
-		numUsers: nU,
-		numItems: d.numItems,
-		users:    make([][]sparse.Vector, viewPages(nU)),
-		items:    make([][][]uint32, viewPages(nI)),
-	}
 	last := d.vc.last
-	copied, shared := 0, 0
-	dirtyU := dirtyPageSet(d.vc.dirtyUsers)
-	for p := range v.users {
-		lo, hi := p<<viewPageShift, min((p+1)<<viewPageShift, nU)
-		_, dirty := dirtyU[p]
-		if !dirty && last != nil && p < len(last.users) && len(last.users[p]) == hi-lo {
-			v.users[p] = last.users[p]
-			shared++
-			continue
-		}
-		pg := make([]sparse.Vector, hi-lo)
-		copy(pg, d.Users[lo:hi])
-		v.users[p] = pg
-		copied++
+	if last == nil {
+		last = &View{} // nothing to share: every row is appended
 	}
-	dirtyI := dirtyPageSet(d.vc.dirtyItems)
-	for p := range v.items {
-		lo, hi := p<<viewPageShift, min((p+1)<<viewPageShift, nI)
-		_, dirty := dirtyI[p]
-		if !dirty && last != nil && p < len(last.items) && len(last.items[p]) == hi-lo {
-			v.items[p] = last.items[p]
-			shared++
-			continue
-		}
-		pg := make([][]uint32, hi-lo)
-		copy(pg, d.Items[lo:hi])
-		v.items[p] = pg
-		copied++
-	}
-	d.vc = viewCache{last: v, copied: copied, shared: shared}
+	v := &View{name: d.Name, numUsers: len(d.Users), numItems: d.numItems}
+	var cu, ci int
+	v.users, cu = arena.PatchPages(last.users, len(d.Users), maps.Keys(d.vc.dirtyUsers),
+		func(u int, _ sparse.Vector) sparse.Vector { return d.Users[u] })
+	v.items, ci = arena.PatchPages(last.items, len(d.Items), maps.Keys(d.vc.dirtyItems),
+		func(i int, _ []uint32) []uint32 { return d.Items[i] })
+	d.vc = viewCache{last: v, copied: cu + ci, shared: len(v.users) + len(v.items) - cu - ci}
 	return v
 }

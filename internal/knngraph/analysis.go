@@ -63,8 +63,8 @@ func (g *Graph) Degrees() DegreeStats {
 // proxy for graph quality when ground truth is unavailable.
 func (g *Graph) MeanSimilarity() float64 {
 	var sum float64
-	for p := range g.pages {
-		for _, nb := range g.pages[p].entries {
+	for u := 0; u < g.numUsers; u++ {
+		for _, nb := range g.Neighbors(uint32(u)) {
 			sum += nb.Sim
 		}
 	}
@@ -117,8 +117,8 @@ func jaccardIDs(a, b []Neighbor) float64 {
 // InDegreeCCDFInput returns the per-user in-degrees (for CCDF plotting).
 func (g *Graph) InDegreeCCDFInput() []int {
 	in := make([]int, g.NumUsers())
-	for p := range g.pages {
-		for _, nb := range g.pages[p].entries {
+	for u := range in {
+		for _, nb := range g.Neighbors(uint32(u)) {
 			if int(nb.ID) < len(in) {
 				in[nb.ID]++
 			}

@@ -69,38 +69,40 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 	aw.Uvarint(uint64(g.numEdges))
 	aw.Align(8)
 	// The on-disk offsets section is one flat (numUsers+1)-long array of
-	// arena-global row boundaries. Pages store boundaries rebased to
-	// their own entry slices, so globalize them back while streaming:
-	// arena.Int64s writes raw little-endian words with no framing, which
-	// makes the chunked writes concatenate byte-identically to a flat
-	// write — a patched graph serializes exactly like its flat-CSR
-	// equivalent (the round-trip fuzzer pins this).
+	// row boundaries into one flat edge section. Rows are separate slices,
+	// so derive the boundaries from the row lengths and pack the records
+	// across rows while streaming: arena.Int64s and Raw write raw bytes
+	// with no framing, which makes the chunked writes concatenate
+	// byte-identically to a flat write — a patched graph serializes
+	// exactly like its flat-CSR equivalent (the round-trip fuzzer pins
+	// this).
 	aw.Int64s([]int64{0})
 	var offs [PageUsers]int64
-	var base int64
-	for p := range g.pages {
-		pg := &g.pages[p]
-		pbase := pg.offsets[0]
-		for i := 1; i < len(pg.offsets); i++ {
-			offs[i-1] = base + (pg.offsets[i] - pbase)
+	var end int64
+	for _, pg := range g.pages {
+		for i, row := range pg {
+			end += int64(len(row))
+			offs[i] = end
 		}
-		base += int64(len(pg.entries))
-		aw.Int64s(offs[:len(pg.offsets)-1])
+		aw.Int64s(offs[:len(pg)])
 	}
 	var rec [256 * neighborRecSize]byte
-	for p := range g.pages {
-		entries := g.pages[p].entries
-		for lo := 0; lo < len(entries); lo += 256 {
-			hi := min(lo+256, len(entries))
-			for j, e := range entries[lo:hi] {
+	j := 0
+	for _, pg := range g.pages {
+		for _, row := range pg {
+			for _, e := range row {
 				off := j * neighborRecSize
 				binary.LittleEndian.PutUint32(rec[off:], e.ID)
 				binary.LittleEndian.PutUint32(rec[off+4:], 0)
 				binary.LittleEndian.PutUint64(rec[off+8:], math.Float64bits(e.Sim))
+				if j++; j == 256 {
+					aw.Raw(rec[:])
+					j = 0
+				}
 			}
-			aw.Raw(rec[:(hi-lo)*neighborRecSize])
 		}
 	}
+	aw.Raw(rec[:j*neighborRecSize])
 	err := aw.Close()
 	return aw.Count(), err
 }

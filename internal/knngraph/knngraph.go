@@ -2,21 +2,22 @@
 // construction algorithms and the recall metric used to score it against
 // the exact graph (paper §III-B).
 //
-// The graph is a chunked persistent CSR: users are partitioned into
-// fixed-size pages (PageUsers rows each), every page holding its own
-// row-boundary array plus its slice of the entries arena, and the Graph
-// is just the immutable page table. A graph built in one shot (New,
-// FromSet, the codecs) lays all pages over two contiguous flat arrays —
-// internal/arena's layout, which is also the on-disk layout — so the
-// paging costs nothing but the table itself. A graph derived from a
-// previous one (PatchFrom) shares every page without a dirty user and
-// materializes only the dirty ones, which is what makes snapshot
-// publication O(dirty pages) instead of O(|U|).
+// The graph is a persistent row table: users are partitioned into
+// fixed-size pages (PageUsers rows each), every page an array of
+// immutable neighbor-list slices, and the Graph is just the page table
+// (internal/arena's paged layout, shared with the dataset view). A graph
+// built in one shot (New, FromSet, the codecs) slices its rows out of
+// one flat CSR entries array — internal/arena's layout, which is also
+// the on-disk layout — so the paging costs one row header per user. A
+// graph derived from a previous one (PatchFrom) shares every page
+// without a dirty user and, within the other pages, every clean row;
+// only the dirty rows are exported afresh, which is what makes snapshot
+// publication O(dirty rows) instead of O(|U|).
 //
-// A graph is immutable once built; pages may therefore be shared freely
-// between successive graphs, and serving code reads Neighbors views that
-// alias page storage. That immutability is what lets a kiff.Snapshot
-// publish a graph to concurrent readers without locks.
+// A graph is immutable once built; pages and rows may therefore be
+// shared freely between successive graphs, and serving code reads
+// Neighbors views that alias row storage. That immutability is what lets
+// a kiff.Snapshot publish a graph to concurrent readers without locks.
 package knngraph
 
 import (
@@ -25,6 +26,7 @@ import (
 	"io"
 	"slices"
 
+	"kiff/internal/arena"
 	"kiff/internal/knnheap"
 )
 
@@ -44,40 +46,22 @@ type Neighbor struct {
 }
 
 const (
-	// pageShift sets the page granularity: 1<<pageShift users per page.
-	// The trade: larger pages amortize the page table but make one dirty
-	// user copy more of its neighbors' rows at publication. 64 keeps
-	// copy-on-write sharing meaningful even for populations in the low
-	// thousands (a page is ~64·k edge records, ~10KB at k = 10); at
-	// millions of users the table is tens of thousands of slim structs,
-	// still trivially walkable.
-	pageShift = 6
+	// pageShift is the page granularity (1<<pageShift users per page),
+	// arena.PageShift's: see there for the trade it sets.
+	pageShift = arena.PageShift
 	// PageUsers is the number of users per graph page.
 	PageUsers = 1 << pageShift
 	pageMask  = PageUsers - 1
 )
 
-// page is one immutable chunk of up to PageUsers consecutive users' rows.
-// offsets holds the rows' boundaries into entries — len(rows)+1 values
-// whose base offsets[0] is subtracted at lookup, so a page sliced out of
-// a flat arena (offsets carry arena-global values) and a page built on
-// its own arrays (offsets start at 0) read identically.
-type page struct {
-	offsets []int64
-	entries []Neighbor
-}
-
-// rows returns the number of users the page covers.
-func (p *page) rows() int { return len(p.offsets) - 1 }
-
 // Graph is a directed k-NN graph: Neighbors(u) holds u's neighbors sorted
 // by (similarity desc, ID asc). Storage is a page table of immutable
-// chunks (see the package comment); the zero value is an empty graph.
+// row slices (see the package comment); the zero value is an empty graph.
 type Graph struct {
 	k        int
 	numUsers int
 	numEdges int
-	pages    []page
+	pages    [][][]Neighbor
 }
 
 // New assembles a graph from per-user neighbor lists, flattening them
@@ -97,27 +81,31 @@ func New(k int, lists [][]Neighbor) *Graph {
 	return fromParts(k, offsets, entries)
 }
 
-// fromParts pages pre-built flat CSR arrays: every page aliases its slice
-// of the shared arrays, so construction is O(numPages) slicing on top of
-// whatever built the arrays (FromSet, the codecs, the mmap view).
+// fromParts pages pre-built flat CSR arrays: every row is a
+// capacity-clamped slice of the shared entries array, and every page a
+// slice of one row-header array, so construction is two allocations and
+// O(|U|) slicing on top of whatever built the arrays (FromSet, the
+// codecs, the mmap view).
 func fromParts(k int, offsets []int64, entries []Neighbor) *Graph {
 	n := 0
 	if len(offsets) > 0 {
 		n = len(offsets) - 1
 	}
-	g := &Graph{k: k, numUsers: n, numEdges: len(entries), pages: make([]page, numPages(n))}
+	rows := make([][]Neighbor, n)
+	for u := range rows {
+		lo, hi := offsets[u], offsets[u+1]
+		rows[u] = entries[lo:hi:hi]
+	}
+	g := &Graph{k: k, numUsers: n, numEdges: len(entries), pages: make([][][]Neighbor, numPages(n))}
 	for p := range g.pages {
 		lo, hi := p<<pageShift, min((p+1)<<pageShift, n)
-		g.pages[p] = page{
-			offsets: offsets[lo : hi+1 : hi+1],
-			entries: entries[offsets[lo]:offsets[hi]:offsets[hi]],
-		}
+		g.pages[p] = rows[lo:hi:hi]
 	}
 	return g
 }
 
 // numPages returns the page count covering n users.
-func numPages(n int) int { return (n + pageMask) >> pageShift }
+func numPages(n int) int { return arena.NumPages(n) }
 
 // K returns the neighborhood bound the graph was built with.
 func (g *Graph) K() int { return g.k }
@@ -132,20 +120,16 @@ func (g *Graph) NumEdges() int { return g.numEdges }
 // copy-on-write publication stats (PatchStats) count in.
 func (g *Graph) NumPages() int { return len(g.pages) }
 
-// Neighbors returns u's neighbor list as a view into page storage (do
-// not mutate). The view's capacity is clamped, so appending to it cannot
-// clobber the next user's list. Two loads: the page table entry, then
-// the row bounds within it.
+// Neighbors returns u's neighbor list as a view into row storage (do not
+// mutate). The view's capacity is clamped, so appending to it cannot
+// clobber another user's list. Two loads: the page table entry, then the
+// row header within the page.
 func (g *Graph) Neighbors(u uint32) []Neighbor {
-	pg := &g.pages[u>>pageShift]
-	i := u & pageMask
-	base := pg.offsets[0]
-	lo, hi := pg.offsets[i]-base, pg.offsets[i+1]-base
-	return pg.entries[lo:hi:hi]
+	return g.pages[u>>pageShift][u&pageMask]
 }
 
 // Views materializes every per-user view in one [][]Neighbor (data stays
-// shared with the arena). It exists for callers that consume whole-graph
+// shared with the rows). It exists for callers that consume whole-graph
 // list shapes, like BuildExact.
 func (g *Graph) Views() [][]Neighbor {
 	out := make([][]Neighbor, g.NumUsers())
@@ -173,35 +157,39 @@ func FromSet(s *knnheap.Set) *Graph {
 }
 
 // PatchStats reports how a publication was assembled: how many pages the
-// new graph shares with its predecessor versus had to copy out of the
-// heaps — the copy-on-write observability record surfaced by /stats and
-// the publication benches.
+// new graph shares with its predecessor versus had to replace, and how
+// many edge records it exported from the heaps — the copy-on-write
+// observability record surfaced by /stats and the publication benches.
 type PatchStats struct {
 	// PagesShared counts pages adopted verbatim from the previous graph.
 	PagesShared int
-	// PagesCopied counts pages rebuilt from the heap set.
+	// PagesCopied counts pages replaced because they hold a dirty row:
+	// each is a fresh array of row headers, its clean rows still shared.
 	PagesCopied int
-	// EntriesCopied counts the edge records landing in copied pages —
-	// with the offsets, the bytes a publication actually writes.
+	// EntriesCopied counts the edge records exported into dirty rows —
+	// with PageUsers row headers per copied page, the bytes a
+	// publication actually writes.
 	EntriesCopied int
 }
 
 // PatchFrom snapshots a heap set into a Graph by patching a previously
-// exported one: pages containing no dirty user are shared with prev, and
-// within a rebuilt page only the dirty rows are re-exported from the
-// heaps — clean rows are unchanged since prev by the dirty-set contract,
-// so their already-sorted records are block-copied from prev's page.
-// dirty must list every user whose heap changed since prev was exported
-// (knnheap's TrackDirty/DrainDirty produce exactly that); users appended
-// since (s.Len() > prev.NumUsers()) are implicitly dirty. Cost is
-// O(copied pages · PageUsers · k) memory movement plus O(dirty rows ·
-// k log k) heap export, not O(|U|).
+// exported one (arena.PatchPages): pages containing no dirty user are
+// shared with prev; a page holding one is replaced by a copy of its row
+// headers in which only the dirty rows point at freshly exported,
+// sorted lists, each its own allocation sized to its length — clean rows
+// are unchanged since prev by the dirty-set contract, so they keep
+// pointing at prev's storage. dirty must list every user whose heap
+// changed since prev was exported (knnheap's TrackDirty/DrainDirty
+// produce exactly that); users appended since (s.Len() > prev.NumUsers())
+// are implicitly dirty. Cost is O(dirty rows · k log k) export plus
+// O(copied pages · PageUsers) header copies and an O(|U|/PageUsers) page
+// table copy, not O(|U|·k).
 //
 // prev must itself have been exported from the same heap set's history —
 // publication N patches from publication N−1, with the first publication
-// a full FromSet. The result shares page storage with prev: prev (and
-// anything backing it) must stay reachable and immutable, so never patch
-// from a graph whose backing may be unmapped (see Mapped.Close).
+// a full FromSet. The result shares page and row storage with prev: prev
+// (and anything backing it) must stay reachable and immutable, so never
+// patch from a graph whose backing may be unmapped (see Mapped.Close).
 func PatchFrom(prev *Graph, s *knnheap.Set, dirty []uint32) (*Graph, PatchStats) {
 	if prev.k != s.K() {
 		panic(fmt.Sprintf("knngraph: PatchFrom across k: prev has k=%d, set has k=%d", prev.k, s.K()))
@@ -210,67 +198,22 @@ func PatchFrom(prev *Graph, s *knnheap.Set, dirty []uint32) (*Graph, PatchStats)
 	if n < prev.numUsers {
 		panic(fmt.Sprintf("knngraph: PatchFrom shrank: prev covers %d users, set has %d", prev.numUsers, n))
 	}
-	pages := numPages(n)
-	dirtyPage := make([]bool, pages)
-	dirtyRow := make(map[uint32]struct{}, len(dirty))
-	for _, u := range dirty {
-		if int(u) < n {
-			dirtyPage[u>>pageShift] = true
-			dirtyRow[u] = struct{}{}
-		}
-	}
-	pt := patcher{prev: prev, s: s, dirtyRow: dirtyRow}
-	g := &Graph{k: s.K(), numUsers: n, pages: make([]page, pages)}
+	g := &Graph{k: s.K(), numUsers: n, numEdges: prev.numEdges}
 	var st PatchStats
-	for p := range g.pages {
-		lo, hi := p<<pageShift, min((p+1)<<pageShift, n)
-		// A page is adoptable only if prev covered exactly the same rows:
-		// pages overlapping [prev.numUsers, n) grew and must be rebuilt.
-		if !dirtyPage[p] && p < len(prev.pages) && prev.pages[p].rows() == hi-lo {
-			g.pages[p] = prev.pages[p]
-			st.PagesShared++
-		} else {
-			g.pages[p] = pt.patchPage(lo, hi)
-			st.PagesCopied++
-			st.EntriesCopied += len(g.pages[p].entries)
+	var buf []knnheap.Entry
+	g.pages, st.PagesCopied = arena.PatchPages(prev.pages, n, slices.Values(dirty), func(u int, old []Neighbor) []Neighbor {
+		buf = s.Neighbors(buf[:0], uint32(u))
+		row := make([]Neighbor, len(buf))
+		for i, e := range buf {
+			row[i] = Neighbor{ID: e.ID, Sim: e.Sim}
 		}
-		g.numEdges += len(g.pages[p].entries)
-	}
+		SortNeighbors(row)
+		g.numEdges += len(row) - len(old)
+		st.EntriesCopied += len(row)
+		return row
+	})
+	st.PagesShared = len(g.pages) - st.PagesCopied
 	return g, st
-}
-
-// patcher rebuilds dirty pages row by row, reusing one pair of scratch
-// export buffers across every dirty row of a publication.
-type patcher struct {
-	prev     *Graph
-	s        *knnheap.Set
-	dirtyRow map[uint32]struct{}
-	rowOff   []int64
-	rowEnt   []knnheap.Entry
-}
-
-// patchPage materializes users [lo, hi) into a standalone page (own
-// boundary and entry arrays, offsets based at 0). Rows in the dirty set
-// or beyond prev's coverage are exported from the heaps and sorted; the
-// rest are copied verbatim from prev, whose rows are already in canonical
-// order.
-func (pt *patcher) patchPage(lo, hi int) page {
-	offsets := make([]int64, 1, hi-lo+1)
-	entries := make([]Neighbor, 0, (hi-lo)*pt.s.K())
-	for u := lo; u < hi; u++ {
-		if _, dirty := pt.dirtyRow[uint32(u)]; !dirty && u < pt.prev.numUsers {
-			entries = append(entries, pt.prev.Neighbors(uint32(u))...)
-		} else {
-			start := len(entries)
-			pt.rowOff, pt.rowEnt = pt.s.ExportRange(pt.rowOff[:0], pt.rowEnt[:0], u, u+1)
-			for _, e := range pt.rowEnt {
-				entries = append(entries, Neighbor{ID: e.ID, Sim: e.Sim})
-			}
-			SortNeighbors(entries[start:])
-		}
-		offsets = append(offsets, int64(len(entries)))
-	}
-	return page{offsets: offsets, entries: entries}
 }
 
 // CompareNeighbors is the canonical edge ordering of the module

@@ -5,9 +5,10 @@ package knngraph
 // serving process starts up without copying the arena through the heap.
 // The offsets array and — on 64-bit little-endian hosts, where the
 // on-disk edge record matches Neighbor's memory layout — the entries
-// array alias the buffer: a mapped load allocates O(1) memory regardless
-// of graph size, and the kernel page cache is shared across processes
-// serving the same checkpoint.
+// array alias the buffer, and the graph's rows are slices of it: a
+// mapped load allocates O(|U|) row headers while the edge payload stays
+// mapped, and the kernel page cache is shared across processes serving
+// the same checkpoint.
 
 import (
 	"bytes"

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"kiff/internal/knnheap"
 )
@@ -78,7 +79,9 @@ func TestPatchFromCleanSharesEverything(t *testing.T) {
 }
 
 // TestPatchFromDirtyUsers mutates a handful of users and checks that only
-// their pages are copied while the patched graph matches a full export.
+// their pages are replaced, that a replaced page shares its clean rows'
+// storage with the previous graph while only the dirty rows are exported
+// afresh, and that the patched graph matches a full export.
 func TestPatchFromDirtyUsers(t *testing.T) {
 	const n, k = 130, 4
 	rng := rand.New(rand.NewSource(5))
@@ -87,10 +90,10 @@ func TestPatchFromDirtyUsers(t *testing.T) {
 	prev := FromSet(s)
 	s.TrackDirty()
 
-	// Touch users on page 0 and page 2 only. Update(u, v) and Remove(u, v)
-	// touch exactly u's heap, so pages 0 and 2 become dirty and page 1
-	// (users 64..127) stays clean. Pick a candidate certain to change heap
-	// 3 (absent, and sim 2.0 beats every random sim).
+	// Touch one user on page 0 and one on page 2. Update(u, v) and
+	// Remove(u, v) touch exactly u's heap, so pages 0 and 2 become dirty
+	// and page 1 (users 64..127) stays clean. Pick a candidate certain to
+	// change heap 3 (absent, and sim 2.0 beats every random sim).
 	var v uint32 = 1
 	for v == 3 || s.Contains(3, v) {
 		v++
@@ -109,6 +112,10 @@ func TestPatchFromDirtyUsers(t *testing.T) {
 	if st.PagesShared != numPages(n)-2 {
 		t.Fatalf("shared %d pages, want %d", st.PagesShared, numPages(n)-2)
 	}
+	if want := len(g.Neighbors(3)) + len(g.Neighbors(129)); st.EntriesCopied != want {
+		t.Fatalf("EntriesCopied = %d, want the dirty rows' %d", st.EntriesCopied, want)
+	}
+	requireRowSharing(t, g, prev, dirty)
 	requireSameGraph(t, g, FromSet(s))
 
 	// A second drain-and-patch with nothing dirty shares all pages of the
@@ -118,6 +125,47 @@ func TestPatchFromDirtyUsers(t *testing.T) {
 		t.Fatalf("second patch: %+v", st2)
 	}
 	requireSameGraph(t, g2, FromSet(s))
+
+	// One dirty user on the otherwise untouched page 1: its page is
+	// replaced, its 63 clean rows still alias the flat first export, and
+	// the publication exports exactly one row.
+	v = 64
+	for v == 70 || s.Contains(70, v) {
+		v++
+	}
+	s.Update(70, v, 3.0)
+	dirty = s.DrainDirty(nil)
+	g3, st3 := PatchFrom(g2, s, dirty)
+	if st3.PagesCopied != 1 || st3.EntriesCopied != len(g3.Neighbors(70)) {
+		t.Fatalf("one-row patch: %+v, want 1 page and %d entries", st3, len(g3.Neighbors(70)))
+	}
+	requireRowSharing(t, g3, prev, dirty)
+	requireSameGraph(t, g3, FromSet(s))
+}
+
+// requireRowSharing checks the row-level copy-on-write of a patch: on
+// every page holding a dirty user, each clean row aliases base's storage
+// for that row (same backing array, same length), and each non-empty
+// dirty row does not.
+func requireRowSharing(t *testing.T, g, base *Graph, dirty []uint32) {
+	t.Helper()
+	isDirty := make(map[uint32]bool, len(dirty))
+	for _, u := range dirty {
+		isDirty[u] = true
+	}
+	for _, d := range dirty {
+		lo := d &^ pageMask
+		for u := lo; u < min(lo+PageUsers, uint32(g.NumUsers())); u++ {
+			got, old := g.Neighbors(u), base.Neighbors(u)
+			same := unsafe.SliceData(got) == unsafe.SliceData(old) && len(got) == len(old)
+			switch {
+			case isDirty[u] && len(got) > 0 && unsafe.SliceData(got) == unsafe.SliceData(old):
+				t.Fatalf("dirty user %d still aliases the previous graph's row", u)
+			case !isDirty[u] && !same:
+				t.Fatalf("clean user %d on replaced page %d does not alias the previous graph's row", u, u>>pageShift)
+			}
+		}
+	}
 }
 
 // TestPatchFromGrowth grows the population across a page boundary; the

@@ -80,34 +80,3 @@ func TestDirtyTrackingEpochWrap(t *testing.T) {
 		t.Fatalf("dirty after wrap = %v, want %v (stale stamp suppressed the mark?)", got, want)
 	}
 }
-
-func TestExportRangeMatchesExport(t *testing.T) {
-	s := NewSet(10, 3)
-	for u := uint32(0); u < 10; u++ {
-		for v := uint32(0); v < 10; v++ {
-			if u != v {
-				s.Update(u, v, float64((u*7+v*3)%11))
-			}
-		}
-	}
-	fullOff, fullEnt := s.Export(nil, nil)
-	for _, r := range [][2]int{{0, 10}, {0, 3}, {3, 7}, {7, 10}, {5, 5}} {
-		lo, hi := r[0], r[1]
-		off, ent := s.ExportRange(nil, nil, lo, hi)
-		if len(off) != hi-lo+1 {
-			t.Fatalf("[%d,%d): %d offsets, want %d", lo, hi, len(off), hi-lo+1)
-		}
-		for u := lo; u < hi; u++ {
-			got := ent[off[u-lo]:off[u-lo+1]]
-			want := fullEnt[fullOff[u]:fullOff[u+1]]
-			if len(got) != len(want) {
-				t.Fatalf("[%d,%d) user %d: %d entries, want %d", lo, hi, u, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("[%d,%d) user %d entry %d: %v vs %v", lo, hi, u, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}

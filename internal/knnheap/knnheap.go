@@ -265,20 +265,13 @@ func (s *Set) Neighbors(dst []Entry, u uint32) []Entry {
 // Export appends every heap's entries to entries (per heap, in arbitrary
 // heap order) and the CSR row offsets to offsets, so a snapshot of the
 // whole set lands in two contiguous arrays instead of one slice per user.
+// The appended offsets are relative to the entries slice passed in.
 // Each heap is read under its own lock; like Neighbors, Export may run
 // while another goroutine still updates the set, and each row is then
 // internally consistent even if the set as a whole keeps moving.
 func (s *Set) Export(offsets []int64, entries []Entry) ([]int64, []Entry) {
-	return s.ExportRange(offsets, entries, 0, len(s.heaps))
-}
-
-// ExportRange is Export restricted to the users in [lo, hi): the page
-// export primitive of copy-on-write snapshot publication, which rebuilds
-// only the pages containing dirty users. The appended offsets are
-// relative to the entries slice passed in, exactly as in Export.
-func (s *Set) ExportRange(offsets []int64, entries []Entry, lo, hi int) ([]int64, []Entry) {
 	offsets = append(offsets, int64(len(entries)))
-	for i := lo; i < hi; i++ {
+	for i := range s.heaps {
 		h := &s.heaps[i]
 		h.mu.Lock()
 		entries = append(entries, h.entries...)

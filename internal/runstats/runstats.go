@@ -113,13 +113,17 @@ type Counters struct {
 	// that make mutations visible to readers).
 	Publishes int64
 	// PagesCopied and PagesShared count, across all publications, the
-	// graph and dataset-header pages that were rebuilt because they
-	// contained dirty rows versus shared intact with the previous
-	// snapshot. Their ratio is the direct observable of O(dirty pages)
-	// publication: steady-state incremental publishes should be almost
-	// all shared.
+	// graph and dataset-header pages that were replaced because they
+	// held dirty rows versus shared intact with the previous snapshot.
+	// Their ratio is the direct observable of copy-on-write publication:
+	// steady-state incremental publishes should be almost all shared.
 	PagesCopied int64
 	PagesShared int64
+	// EntriesCopied counts the graph edge records exported into dirty
+	// rows across all publications (the first, full export included):
+	// the edge data publication writes, where a replaced page itself
+	// costs only its row headers.
+	EntriesCopied int64
 	// PublishNs is the cumulative wall time spent publishing, in
 	// nanoseconds; PublishNs/Publishes is the mean publication cost.
 	PublishNs int64
@@ -140,6 +144,7 @@ func (c *Counters) Add(o Counters) {
 	c.Publishes += o.Publishes
 	c.PagesCopied += o.PagesCopied
 	c.PagesShared += o.PagesShared
+	c.EntriesCopied += o.EntriesCopied
 	c.PublishNs += o.PublishNs
 	c.LastPublishNs = max(c.LastPublishNs, o.LastPublishNs)
 }

@@ -81,7 +81,8 @@ type Dataset = dataset.Dataset
 // DatasetView is a frozen, page-shared snapshot of a Dataset — what
 // Snapshot.Dataset returns. Views share unchanged header pages with the
 // previous publication (copy-on-write), so publishing one after a small
-// mutation batch is O(dirty pages); treat them as strictly read-only.
+// mutation batch costs the dirty pages plus a page-table copy; treat
+// them as strictly read-only.
 type DatasetView = dataset.View
 
 // LoadOptions controls edge-list parsing.

@@ -86,6 +86,7 @@ type Maintainer struct {
 	publishes     int64
 	pagesCopied   int64
 	pagesShared   int64
+	entriesCopied int64
 	publishNs     int64
 	lastPublishNs int64
 
@@ -233,12 +234,12 @@ func NewMaintainerFromGraph(d *Dataset, g *Graph, opts Options) (*Maintainer, er
 //
 // The first publication exports the full graph (FromSet) and arms the
 // heap set's dirty tracking; every later publication drains the dirty
-// user set and patches the previous snapshot's graph page-by-page
+// user set and patches the previous snapshot's graph row by row
 // (knngraph.PatchFrom), while the dataset view likewise shares clean
-// header pages with its predecessor — O(dirty pages) instead of
-// O(|U|·k + |I|). Patching always starts from the previously published
-// (heap-built) graph, never from a mapped one, so published pages never
-// alias file-backed memory.
+// header pages with its predecessor — O(dirty rows · k) plus a page-table
+// copy instead of O(|U|·k + |I|). Patching always starts from the
+// previously published (heap-built) graph, never from a mapped one, so
+// published rows never alias file-backed memory.
 func (m *Maintainer) publish() {
 	start := time.Now()
 	m.version++
@@ -259,6 +260,7 @@ func (m *Maintainer) publish() {
 	m.publishes++
 	m.pagesCopied += int64(st.PagesCopied + vc)
 	m.pagesShared += int64(st.PagesShared + vs)
+	m.entriesCopied += int64(st.EntriesCopied)
 	m.publishNs += ns
 	m.lastPublishNs = ns
 }
@@ -371,9 +373,9 @@ func (m *Maintainer) Insert(p Profile) (uint32, error) {
 
 // InsertBatch inserts a batch of users, growing the neighborhood heaps
 // once and publishing a single snapshot at the end. Publication costs
-// O(dirty pages) — the pages holding the batch's users and the
-// neighborhoods it displaced — so batching amortizes the per-user arena
-// growth and folds the batch's page overlap into one publish. Profiles
+// O(dirty rows · k) — the batch's users and the neighborhoods it
+// displaced — plus one page-table copy, so batching amortizes the
+// per-user arena growth and the table copy into one publish. Profiles
 // are validated up front; on a validation error nothing is mutated.
 func (m *Maintainer) InsertBatch(ps []Profile) ([]uint32, error) {
 	if err := m.walGuard(); err != nil {
@@ -643,6 +645,7 @@ func (m *Maintainer) Counters() Counters {
 		Publishes:     m.publishes,
 		PagesCopied:   m.pagesCopied,
 		PagesShared:   m.pagesShared,
+		EntriesCopied: m.entriesCopied,
 		PublishNs:     m.publishNs,
 		LastPublishNs: m.lastPublishNs,
 	}

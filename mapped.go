@@ -2,10 +2,10 @@ package kiff
 
 // Facade over the zero-copy load path (see internal/arena's View and
 // Mapping): a serving process maps a built KFG1/KFD1 checkpoint instead
-// of copying it through the heap. Loading is O(1) allocation with respect
-// to graph size, cold start is bounded by one sequential checksum pass,
-// and the kernel page cache backing the mapping is shared by every
-// process serving the same files.
+// of copying it through the heap. Loading allocates O(|U|) row headers
+// while the edge and profile payload stays in the mapping, cold start is
+// bounded by one sequential checksum pass, and the kernel page cache
+// backing the mapping is shared by every process serving the same files.
 
 import (
 	"kiff/internal/dataset"
@@ -22,9 +22,9 @@ type MappedDataset = dataset.Mapped
 
 // LoadGraphMapped memory-maps a file written by SaveGraph and decodes the
 // graph in place: neighbor lists are views into the mapping, so the load
-// allocates O(1) memory regardless of graph size (on platforms without
-// mmap the file is transparently read to the heap instead — same
-// semantics, no sharing). The mapped graph answers every query
+// allocates O(|U|) row headers and the edge payload stays mapped (on
+// platforms without mmap the file is transparently read to the heap
+// instead — same semantics, no sharing). The mapped graph answers every query
 // bit-identically to LoadGraph.
 //
 // Close the returned handle only after the last reader of the Graph is

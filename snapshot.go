@@ -102,11 +102,12 @@ func NewSnapshot(g *Graph, d *Dataset, opts Options) (*Snapshot, error) {
 
 // newSnapshot assembles a Snapshot from an already-exported graph and
 // dataset view. Called by the writer only. Publication is copy-on-write
-// end to end: the graph is patched page-by-page from its predecessor
+// end to end: the graph is patched row by row from its predecessor
 // (knngraph.PatchFrom), the view shares clean header pages with the
 // previous view, and the query index is an O(1) wrapper over the view —
-// so the cost is O(dirty pages), not O(|U|·k + |I|). The first
-// publication (no predecessor) is a full export.
+// so the cost is O(dirty rows · k) plus the page-table copies, not
+// O(|U|·k + |I|). The first publication (no predecessor) is a full
+// export.
 func newSnapshot(version uint64, g *knngraph.Graph, view *dataset.View, metric similarity.Metric) *Snapshot {
 	return &Snapshot{
 		version: version,
