@@ -703,20 +703,33 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 // BenchmarkSnapshotQueryExact measures an exact (budget < 0) query — the
 // mode kiffserve runs by default — on the full-scale wikipedia fixture,
 // where dense item profiles give every query hundreds of candidates.
+// The pool-1 case runs the same query the way an unsharded server does:
+// through a one-shard pool's View, pinned per query.
 func BenchmarkSnapshotQueryExact(b *testing.B) {
 	d, err := dataset.Wikipedia.Generate(1, 3)
 	benchErr(b, err)
 	m, err := NewMaintainer(d, Options{K: 10})
 	benchErr(b, err)
-	s := m.Snapshot()
 	profile := m.Dataset().Users[1]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Query(profile, 10, -1); err != nil {
-			b.Fatal(err)
+	b.Run("snapshot", func(b *testing.B) {
+		s := m.Snapshot()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Query(profile, 10, -1); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	p, err := OneShardPool(m)
+	benchErr(b, err)
+	b.Run("pool-1", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := p.View().Query(profile, 10, -1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func seqIDs(start, n, step int) []uint32 {

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"kiff"
-	"kiff/internal/server"
 )
 
 // queryResults posts one fixed query and returns the raw "results"
@@ -60,25 +59,16 @@ func TestServeGracefulFinalCheckpoint(t *testing.T) {
 	}
 
 	final := filepath.Join(ckptDir, "final")
-	d, err := kiff.LoadDataset(filepath.Join(final, server.DataCheckpointFile))
+	p, err := kiff.LoadShardedMaintainer(final, kiff.Options{})
 	if err != nil {
-		t.Fatalf("final checkpoint dataset: %v", err)
+		t.Fatalf("final checkpoint: %v", err)
 	}
-	if d.NumUsers() != 31 { // 30 from the edge list + the acknowledged insert
-		t.Fatalf("final checkpoint has %d users, want 31", d.NumUsers())
-	}
-	g, err := kiff.LoadGraph(filepath.Join(final, server.GraphCheckpointFile))
-	if err != nil {
-		t.Fatalf("final checkpoint graph: %v", err)
-	}
-	if g.NumUsers() != 31 {
-		t.Fatalf("final checkpoint graph covers %d users, want 31", g.NumUsers())
+	if p.NumUsers() != 31 { // 30 from the edge list + the acknowledged insert
+		t.Fatalf("final checkpoint has %d users, want 31", p.NumUsers())
 	}
 
 	// The final checkpoint restarts and answers.
-	url2, shutdown2 := boot(t,
-		"-graph", filepath.Join(final, server.GraphCheckpointFile),
-		"-data", filepath.Join(final, server.DataCheckpointFile))
+	url2, shutdown2 := boot(t, "-pool", final)
 	if got := queryResults(t, url2); got == "" || got == "null" {
 		t.Fatalf("restarted query results = %q", got)
 	}
@@ -88,8 +78,8 @@ func TestServeGracefulFinalCheckpoint(t *testing.T) {
 }
 
 // TestServeCheckpointEndpointRestart: POST /checkpoint on a live server
-// produces a directory a fresh kiffserve restarts from with identical
-// /query answers — unsharded (-graph/-data) and sharded (-pool) alike.
+// produces a directory a fresh kiffserve restarts from (-pool) with
+// identical /query answers — unsharded and sharded alike.
 func TestServeCheckpointEndpointRestart(t *testing.T) {
 	edges := writeEdgeList(t)
 
@@ -116,9 +106,7 @@ func TestServeCheckpointEndpointRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		url2, shutdown2 := boot(t,
-			"-graph", filepath.Join(ck.Dir, server.GraphCheckpointFile),
-			"-data", filepath.Join(ck.Dir, server.DataCheckpointFile))
+		url2, shutdown2 := boot(t, "-pool", ck.Dir)
 		if got := queryResults(t, url2); got != want {
 			t.Fatalf("restarted /query diverged\n got: %s\nwant: %s", got, want)
 		}

@@ -1,34 +1,38 @@
 // Command kiffserve is the HTTP serving front-end: it loads (or
-// cold-builds) a KNN graph, wraps it in the lock-free snapshot serving
-// path, and exposes neighbor lookups, profile queries and mutations over
-// HTTP (see internal/server for the endpoint contract).
+// cold-builds) a KNN graph into a maintainer pool and exposes neighbor
+// lookups, profile queries and mutations over HTTP (see internal/server
+// for the endpoint contract).
 //
-// Serve a saved checkpoint, zero-copy via mmap (the intended production
-// flow — build once with kiffknn -save, serve many):
+// Every mutable server has one boot sequence — source → pool → optional
+// write-ahead log → serve — whatever the source: a cold build from an
+// edge list (-in) or a dataset checkpoint (-data), a graph checkpoint
+// seeding one maintainer (-graph with -data), or a pool checkpoint
+// (-pool, any shard count). -shards N (default 1) partitions a cold
+// build across N maintainers behind the same HTTP API; an unsharded
+// server is simply a one-shard pool. -readonly pins a static view of the
+// source instead of starting a writer (mutation endpoints return 403);
+// checkpoint sources are then served straight from their mapped files.
 //
-//	kiffknn -in ratings.tsv -k 20 -save graph.kfg -o /dev/null
-//	kiffserve -graph graph.kfg -data data.kfd -addr :8080
+// Serve a saved checkpoint, zero-copy via mmap (build once with kiffknn
+// -save, serve many):
 //
-// Flags select the load path (-mmap=false forces the heap decoder), a
-// read-only mode (-readonly skips the Maintainer entirely; mutation
-// endpoints return 403), and a cold build straight from an edge list
-// (-in ratings.tsv) for small datasets and smoke tests.
+//	kiffknn -in ratings.tsv -k 20 -save graph.kfg -save-data data.kfd -o /dev/null
+//	kiffserve -graph graph.kfg -data data.kfd -readonly -addr :8080
 //
-// Sharded serving: -shards N partitions the dataset across N independent
-// maintainers behind the same HTTP API (inserts and rebuilds parallelize
-// across shards; /stats reports per-shard counters). -save-pool DIR
-// checkpoints the pool (per-shard graph.i.kfg/data.i.kfd plus a
-// manifest) after construction, and -pool DIR restarts from such a
-// checkpoint without rebuilding:
+// -mmap=false forces the heap decoders. Checkpoints — -save-pool DIR
+// after construction, POST /checkpoint while serving, the final save of
+// a graceful shutdown — are pool checkpoint directories (per-shard
+// graph.i.kfg/data.i.kfd plus a manifest), and -pool DIR restarts from
+// one without rebuilding:
 //
 //	kiffserve -data data.kfd -shards 4 -save-pool pool/ -addr :8080
 //	kiffserve -pool pool/ -addr :8080
 //
 // Crash-lossless serving: -wal DIR appends every mutation to a
-// write-ahead log (one per shard) before applying it, so an
+// write-ahead log (wal.<i>.kfl, one per shard) before applying it, so an
 // acknowledged write survives even a SIGKILL. On start, when
 // -checkpoint is also set, the server picks the newest complete
-// checkpoint generation itself and replays the log on top of it; a
+// checkpoint generation itself and replays the logs on top of it; a
 // torn final record (power cut mid-append) is truncated. POST
 // /checkpoint rotates the logs; -wal-sync trades fsync-per-append
 // durability against throughput:
@@ -74,10 +78,6 @@ import (
 	"kiff/internal/wal"
 )
 
-// walFileName is the unsharded write-ahead log file inside -wal DIR
-// (sharded mode uses shard.WalFile names, one log per shard).
-const walFileName = "wal.kfl"
-
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -95,12 +95,12 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 	fs.SetOutput(stderr)
 	var (
 		addr      = fs.String("addr", ":8080", "listen address")
-		graph     = fs.String("graph", "", "binary graph checkpoint (kiffknn -save); requires -data")
+		graph     = fs.String("graph", "", "binary graph checkpoint (kiffknn -save) seeding one maintainer; requires -data and one shard")
 		data      = fs.String("data", "", "binary dataset checkpoint (SaveDataset)")
-		in        = fs.String("in", "", "edge list to load and cold-build from (alternative to -graph/-data)")
+		in        = fs.String("in", "", "edge list to load and cold-build from (alternative to -data)")
 		binary    = fs.Bool("binary", false, "ignore the rating column of -in")
 		useMmap   = fs.Bool("mmap", true, "load checkpoints through the zero-copy mmap path")
-		readonly  = fs.Bool("readonly", false, "serve a static snapshot; mutation endpoints return 403")
+		readonly  = fs.Bool("readonly", false, "serve a static view of the source; mutation endpoints return 403")
 		k         = fs.Int("k", 20, "neighborhood size for cold builds (checkpoints carry their own)")
 		metric    = fs.String("metric", "cosine", "similarity metric: "+strings.Join(kiff.Metrics(), ", "))
 		budget    = fs.Int("budget", 0, "default similarity-eval budget per query (0 = exact)")
@@ -108,9 +108,9 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 		batch     = fs.Int("batch", 64, "max mutations applied per writer batch")
 		ckptDir   = fs.String("checkpoint", "", "enable POST /checkpoint into fresh subdirectories of this directory; a graceful shutdown saves a final checkpoint under <dir>/final")
 		workers   = fs.Int("workers", 0, "cold-build worker goroutines (0 = all CPUs)")
-		shards    = fs.Int("shards", 0, "partition users across this many maintainers (0 = unsharded)")
-		pool      = fs.String("pool", "", "sharded checkpoint directory to restart from (see -save-pool)")
-		savePool  = fs.String("save-pool", "", "checkpoint the sharded pool to this directory after construction")
+		shards    = fs.Int("shards", 1, "partition a cold build's users across this many maintainers")
+		pool      = fs.String("pool", "", "pool checkpoint directory to restart from (see -save-pool, POST /checkpoint)")
+		savePool  = fs.String("save-pool", "", "checkpoint the pool to this directory after construction")
 		walDir    = fs.String("wal", "", "write-ahead log directory: append every mutation before applying it, replay on start (crash-lossless mutations)")
 		walSync   = fs.String("wal-sync", "always", "WAL fsync policy: always, never, or a flush interval like 100ms")
 		apiKeys   = fs.String("api-keys", "", "API keys file (scope:key[:burst[:rate]] per line); enables authentication on every endpoint except /healthz")
@@ -121,50 +121,34 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *rateBurst > 0 && *rateRPS <= 0 {
+	switch {
+	case *rateBurst > 0 && *rateRPS <= 0:
 		return fmt.Errorf("-rate-burst requires -rate-limit > 0")
+	case *shards < 1 || *shards > shard.MaxShards:
+		return fmt.Errorf("-shards %d: want 1..%d", *shards, shard.MaxShards)
+	case *graph != "" && *shards != 1:
+		return fmt.Errorf("-graph seeds a single maintainer and requires -shards 1 (restart a sharded checkpoint with -pool)")
+	case *graph != "" && *data == "":
+		return fmt.Errorf("-graph requires -data")
+	case *readonly && *walDir != "":
+		return fmt.Errorf("-wal requires a mutable server (drop -readonly)")
+	case *readonly && *ckptDir != "":
+		return fmt.Errorf("-checkpoint requires a mutable server (drop -readonly)")
+	case *readonly && *savePool != "":
+		return fmt.Errorf("-save-pool requires a mutable server (drop -readonly)")
+	case *walDir != "" && *savePool != "":
+		// Pool.Save rotates the shard logs against the saved directory,
+		// but the boot scan only considers -checkpoint generations — a
+		// rotation against -save-pool would strand the discarded
+		// records. Checkpoint through the server instead.
+		return fmt.Errorf("-save-pool cannot be combined with -wal (checkpoint via POST /checkpoint instead)")
+	case *pool == "" && *data == "" && *in == "":
+		fs.Usage()
+		return fmt.Errorf("a data source is required: -pool, -data (with or without -graph) or -in")
 	}
 	opts := kiff.Options{K: *k, Metric: *metric, Workers: *workers}
 	faults := faultsFromEnv(stderr)
 
-	// --- Write-ahead logging ----------------------------------------------
-	walled := *walDir != ""
-	var wopts wal.Options
-	if walled {
-		if *readonly {
-			return fmt.Errorf("-wal requires a mutable server (drop -readonly)")
-		}
-		if *savePool != "" {
-			// Pool.Save rotates the shard logs against the saved directory,
-			// but the boot scan only considers -checkpoint generations — a
-			// rotation against -save-pool would strand the discarded
-			// records. Checkpoint through the server instead.
-			return fmt.Errorf("-save-pool cannot be combined with -wal (checkpoint via POST /checkpoint instead)")
-		}
-		pol, iv, perr := wal.ParseSyncPolicy(*walSync)
-		if perr != nil {
-			return fmt.Errorf("-wal-sync: %w", perr)
-		}
-		wopts = wal.Options{Sync: pol, SyncInterval: iv, TestHook: walTearHook(faults)}
-		if err := os.MkdirAll(*walDir, 0o755); err != nil {
-			return fmt.Errorf("-wal: %w", err)
-		}
-	}
-
-	// --- Sharded modes ---------------------------------------------------
-	sharded := *pool != "" || *shards > 1
-	if sharded {
-		if *readonly {
-			return fmt.Errorf("-readonly is not supported in sharded mode (a pool always carries its maintainers)")
-		}
-		if *graph != "" {
-			return fmt.Errorf("-graph is not used in sharded mode: the pool builds per-shard graphs (restart from -pool instead)")
-		}
-	} else if *savePool != "" {
-		return fmt.Errorf("-save-pool requires -shards or -pool")
-	}
-
-	// --- Serving configuration ------------------------------------------
 	cfg := server.Config{
 		QueryBudget:   *budget,
 		QueueDepth:    *queue,
@@ -186,234 +170,196 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 		cfg.APIKeys = keys
 		fmt.Fprintf(stderr, "kiffserve: authentication enabled (%d keys)\n", len(keys))
 	}
-	if *readonly && *ckptDir != "" {
-		return fmt.Errorf("-checkpoint requires a mutable server (drop -readonly)")
-	}
+	src := source{pool: *pool, graph: *graph, data: *data, in: *in, binary: *binary, mmap: *useMmap, shards: *shards, opts: opts, stderr: stderr}
 
-	// --- WAL resume: newest checkpoint + log replay ----------------------
-	// With both -wal and -checkpoint, the server owns its restart story:
-	// it picks the newest complete checkpoint generation itself and
-	// replays the log above the horizon that checkpoint recorded. The
-	// -graph/-data/-in/-pool source flags describe the cold start only and
-	// are ignored once a checkpoint exists — the checkpoint is strictly
-	// newer than any of them.
-	if walled && *ckptDir != "" {
-		if latest, ok := server.LatestCheckpoint(*ckptDir); ok {
-			poolCkpt := fileExists(filepath.Join(latest, shard.ManifestFile))
-			if poolCkpt && !sharded {
-				return fmt.Errorf("latest checkpoint %s is sharded; restart with the same -shards flag", latest)
-			}
-			if !poolCkpt && sharded {
-				return fmt.Errorf("latest checkpoint %s is unsharded; drop -shards/-pool to resume it", latest)
-			}
-			if poolCkpt {
-				p, lerr := kiff.LoadShardedMaintainerWAL(latest, *walDir, kiff.Options{Metric: *metric, Workers: *workers}, wopts)
-				if lerr != nil {
-					return fmt.Errorf("resume pool %s: %w", latest, lerr)
-				}
-				fmt.Fprintf(stderr, "kiffserve: resumed pool from %s + wal replay: %d shards, %d users, k=%d\n",
-					latest, p.NumShards(), p.NumUsers(), p.K())
-				cfg.Pool = p
-				return serve(ctx, cfg, *addr, stderr, ready)
-			}
-			meta, merr := server.ReadCheckpointMeta(latest)
-			if merr != nil {
-				return merr
-			}
-			var (
-				g   *kiff.Graph
-				rds *kiff.Dataset
-			)
-			if *useMmap {
-				mg, e := kiff.LoadGraphMapped(filepath.Join(latest, server.GraphCheckpointFile))
-				if e != nil {
-					return fmt.Errorf("resume graph: %w", e)
-				}
-				g = mg.Graph()
-				md, e := kiff.LoadDatasetMapped(filepath.Join(latest, server.DataCheckpointFile))
-				if e != nil {
-					return fmt.Errorf("resume dataset: %w", e)
-				}
-				rds = md.Dataset()
-			} else {
-				var e error
-				if g, e = kiff.LoadGraph(filepath.Join(latest, server.GraphCheckpointFile)); e != nil {
-					return fmt.Errorf("resume graph: %w", e)
-				}
-				if rds, e = kiff.LoadDataset(filepath.Join(latest, server.DataCheckpointFile)); e != nil {
-					return fmt.Errorf("resume dataset: %w", e)
-				}
-			}
-			o := opts
-			o.K = 0 // adopt the checkpoint's k
-			m, nerr := kiff.NewMaintainerFromGraph(rds, g, o)
-			if nerr != nil {
-				return fmt.Errorf("resume %s: %w", latest, nerr)
-			}
-			so := wopts
-			so.FromLSN = meta.WalLSN
-			stats, werr := m.OpenWAL(filepath.Join(*walDir, walFileName), so)
-			if werr != nil {
-				return fmt.Errorf("resume wal: %w", werr)
-			}
-			fmt.Fprintf(stderr, "kiffserve: resumed from %s (wal horizon %d): replayed %d records, truncated %d torn bytes\n",
-				latest, meta.WalLSN, stats.Replayed, stats.TruncatedBytes)
-			cfg.Maintainer = m
-			return serve(ctx, cfg, *addr, stderr, ready)
+	if *readonly {
+		v, err := src.openView()
+		if err != nil {
+			return err
 		}
-	}
-
-	// --- Assemble the dataset -------------------------------------------
-	var (
-		ds  *kiff.Dataset
-		err error
-	)
-	switch {
-	case *pool != "":
-		// The sharded checkpoint carries its own per-shard datasets.
-	case *data != "" && *useMmap:
-		md, merr := kiff.LoadDatasetMapped(*data)
-		if merr != nil {
-			return fmt.Errorf("load dataset: %w", merr)
-		}
-		// The mapping lives for the process lifetime; the kernel reclaims
-		// it at exit.
-		ds = md.Dataset()
-		fmt.Fprintf(stderr, "kiffserve: dataset %s loaded (mmap=%v)\n", *data, md.Mapped())
-	case *data != "":
-		if ds, err = kiff.LoadDataset(*data); err != nil {
-			return fmt.Errorf("load dataset: %w", err)
-		}
-		fmt.Fprintf(stderr, "kiffserve: dataset %s loaded (heap)\n", *data)
-	case *in != "":
-		if ds, err = kiff.LoadFile(*in, kiff.LoadOptions{Binary: *binary}); err != nil {
-			return fmt.Errorf("load edge list: %w", err)
-		}
-		fmt.Fprintf(stderr, "kiffserve: loaded %s\n", ds.Stats())
-	default:
-		fs.Usage()
-		return fmt.Errorf("a data source is required: -graph/-data checkpoints or -in edge list")
-	}
-
-	// --- Assemble the graph + serving source ----------------------------
-	if sharded {
-		var p *kiff.ShardedMaintainer
-		if *pool != "" {
-			popts := kiff.Options{Metric: *metric, Workers: *workers}
-			switch {
-			case walled:
-				// The WAL loader replays per-shard logs during population;
-				// it loads on the heap (no mapped variant).
-				p, err = kiff.LoadShardedMaintainerWAL(*pool, *walDir, popts, wopts)
-			case *useMmap:
-				p, err = kiff.LoadShardedMaintainerMapped(*pool, popts)
-			default:
-				p, err = kiff.LoadShardedMaintainer(*pool, popts)
-			}
-			if err != nil {
-				return fmt.Errorf("load pool: %w", err)
-			}
-			fmt.Fprintf(stderr, "kiffserve: pool %s loaded: %d shards, %d users, k=%d (mmap=%v, wal=%v, construction skipped)\n",
-				*pool, p.NumShards(), p.NumUsers(), p.K(), *useMmap && !walled, walled)
-		} else {
-			start := time.Now()
-			if walled {
-				// Attaches one log per shard and replays any records a
-				// previous un-checkpointed run left behind (cold builds are
-				// deterministic in the input, so the replay base matches).
-				p, err = kiff.NewShardedMaintainerWAL(ds, *shards, opts, *walDir, wopts)
-			} else {
-				p, err = kiff.NewShardedMaintainer(ds, *shards, opts)
-			}
-			if err != nil {
-				return fmt.Errorf("sharded cold build: %w", err)
-			}
-			fmt.Fprintf(stderr, "kiffserve: cold-built %d-shard pool over %d users (k=%d, wal=%v) in %v\n",
-				p.NumShards(), p.NumUsers(), p.K(), walled, time.Since(start))
-		}
-		if *savePool != "" {
-			if err := p.Save(*savePool); err != nil {
-				return fmt.Errorf("save pool: %w", err)
-			}
-			fmt.Fprintf(stderr, "kiffserve: pool checkpointed to %s\n", *savePool)
-		}
-		cfg.Pool = p
+		fmt.Fprintf(stderr, "kiffserve: read-only view over %d users\n", v.NumUsers())
+		cfg.Static = v
 		return serve(ctx, cfg, *addr, stderr, ready)
 	}
 
-	var g *kiff.Graph
-	if *graph != "" {
-		if *useMmap {
-			mg, merr := kiff.LoadGraphMapped(*graph)
-			if merr != nil {
-				return fmt.Errorf("load graph: %w", merr)
+	var wopts wal.Options
+	if *walDir != "" {
+		pol, iv, perr := wal.ParseSyncPolicy(*walSync)
+		if perr != nil {
+			return fmt.Errorf("-wal-sync: %w", perr)
+		}
+		wopts = wal.Options{Sync: pol, SyncInterval: iv, TestHook: walTearHook(faults)}
+		if err := os.MkdirAll(*walDir, 0o755); err != nil {
+			return fmt.Errorf("-wal: %w", err)
+		}
+		// With both -wal and -checkpoint the server owns its restart
+		// story: the newest complete checkpoint generation supersedes the
+		// source flags, which describe the cold start only — the
+		// checkpoint is strictly newer than any of them, and the logs were
+		// rotated against it.
+		if *ckptDir != "" {
+			if latest, ok := server.LatestCheckpoint(*ckptDir); ok {
+				fmt.Fprintf(stderr, "kiffserve: resuming from checkpoint %s\n", latest)
+				src = source{pool: latest, mmap: *useMmap, opts: opts, stderr: stderr}
 			}
-			g = mg.Graph()
-			fmt.Fprintf(stderr, "kiffserve: graph %s loaded: k=%d, %d users, %d edges (mmap=%v, construction skipped)\n",
-				*graph, g.K(), g.NumUsers(), g.NumEdges(), mg.Mapped())
-		} else {
-			if g, err = kiff.LoadGraph(*graph); err != nil {
-				return fmt.Errorf("load graph: %w", err)
-			}
-			fmt.Fprintf(stderr, "kiffserve: graph %s loaded: k=%d, %d users, %d edges (heap, construction skipped)\n",
-				*graph, g.K(), g.NumUsers(), g.NumEdges())
 		}
-		opts.K = 0 // adopt the checkpoint's k
 	}
-	switch {
-	case *readonly && g == nil:
-		start := time.Now()
-		res, berr := kiff.Build(ds, opts)
-		if berr != nil {
-			return fmt.Errorf("cold build: %w", berr)
-		}
-		g = res.Graph
-		fmt.Fprintf(stderr, "kiffserve: cold-built k=%d graph in %v (%d similarity evals)\n",
-			g.K(), time.Since(start), res.Run.SimEvals)
-		fallthrough
-	case *readonly:
-		snap, serr := kiff.NewSnapshot(g, ds, opts)
-		if serr != nil {
-			return serr
-		}
-		cfg.Static = snap
-		fmt.Fprintf(stderr, "kiffserve: read-only snapshot over %d users\n", snap.NumUsers())
-	case g != nil:
-		m, merr := kiff.NewMaintainerFromGraph(ds, g, opts)
-		if merr != nil {
-			return merr
-		}
-		cfg.Maintainer = m
-		fmt.Fprintf(stderr, "kiffserve: maintainer seeded from checkpoint (no rebuild)\n")
-	default:
-		start := time.Now()
-		m, merr := kiff.NewMaintainer(ds, opts)
-		if merr != nil {
-			return fmt.Errorf("cold build: %w", merr)
-		}
-		cfg.Maintainer = m
-		fmt.Fprintf(stderr, "kiffserve: cold-built and wrapped k=%d graph in %v\n", *k, time.Since(start))
+	p, err := src.openPool()
+	if err != nil {
+		return err
 	}
-	if walled && cfg.Maintainer != nil {
-		// Cold start with a log: replay whatever a previous
-		// un-checkpointed run left in it (the build above is deterministic
-		// in the source flags, so it matches the state the log was written
-		// against), then log everything from here on.
-		stats, werr := cfg.Maintainer.OpenWAL(filepath.Join(*walDir, walFileName), wopts)
-		if werr != nil {
-			return fmt.Errorf("wal: %w", werr)
+	if *walDir != "" {
+		st, err := p.OpenWAL(*walDir, wopts)
+		if err != nil {
+			return fmt.Errorf("wal: %w", err)
 		}
 		fmt.Fprintf(stderr, "kiffserve: wal attached: replayed %d records, truncated %d torn bytes\n",
-			stats.Replayed, stats.TruncatedBytes)
+			st.Replayed, st.TruncatedBytes)
 	}
-
+	if *savePool != "" {
+		if err := p.Save(*savePool); err != nil {
+			return fmt.Errorf("save pool: %w", err)
+		}
+		fmt.Fprintf(stderr, "kiffserve: pool checkpointed to %s\n", *savePool)
+	}
+	cfg.Pool = p
 	return serve(ctx, cfg, *addr, stderr, ready)
 }
 
-// fileExists reports whether path exists (any stat-able entry).
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
+// source is the data source the flags name: a pool checkpoint, a graph
+// checkpoint over a dataset checkpoint, or a dataset (checkpoint or edge
+// list) to cold-build from.
+type source struct {
+	pool, graph, data, in string
+	binary, mmap          bool
+	shards                int
+	opts                  kiff.Options
+	stderr                io.Writer
+}
+
+// openPool assembles the mutable backend from the source.
+func (s source) openPool() (*kiff.ShardedMaintainer, error) {
+	if s.pool != "" {
+		load := kiff.LoadShardedMaintainer
+		if s.mmap {
+			load = kiff.LoadShardedMaintainerMapped
+		}
+		// A checkpoint carries its own k.
+		p, err := load(s.pool, kiff.Options{Metric: s.opts.Metric, Workers: s.opts.Workers})
+		if err != nil {
+			return nil, fmt.Errorf("load pool: %w", err)
+		}
+		fmt.Fprintf(s.stderr, "kiffserve: pool %s loaded: %d shards, %d users, k=%d (mmap=%v, construction skipped)\n",
+			s.pool, p.NumShards(), p.NumUsers(), p.K(), s.mmap)
+		return p, nil
+	}
+	ds, err := s.dataset()
+	if err != nil {
+		return nil, err
+	}
+	if s.graph != "" {
+		g, err := s.loadGraph()
+		if err != nil {
+			return nil, err
+		}
+		o := s.opts
+		o.K = 0 // adopt the checkpoint's k
+		m, err := kiff.NewMaintainerFromGraph(ds, g, o)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(s.stderr, "kiffserve: maintainer seeded from checkpoint (no rebuild)\n")
+		return kiff.OneShardPool(m)
+	}
+	start := time.Now()
+	p, err := kiff.NewShardedMaintainer(ds, s.shards, s.opts)
+	if err != nil {
+		return nil, fmt.Errorf("cold build: %w", err)
+	}
+	fmt.Fprintf(s.stderr, "kiffserve: cold-built %d-shard pool over %d users (k=%d) in %v\n",
+		p.NumShards(), p.NumUsers(), p.K(), time.Since(start))
+	return p, nil
+}
+
+// openView pins the read-only view of the source. Checkpoints are served
+// straight from their (mapped) files; other sources are cold-built.
+func (s source) openView() (*shard.View, error) {
+	switch {
+	case s.pool != "":
+		v, err := kiff.LoadShardedView(s.pool, kiff.Options{Metric: s.opts.Metric}, s.mmap)
+		if err != nil {
+			return nil, fmt.Errorf("load pool: %w", err)
+		}
+		return v, nil
+	case s.graph != "":
+		ds, err := s.dataset()
+		if err != nil {
+			return nil, err
+		}
+		g, err := s.loadGraph()
+		if err != nil {
+			return nil, err
+		}
+		snap, err := kiff.NewSnapshot(g, ds, s.opts)
+		if err != nil {
+			return nil, err
+		}
+		return shard.NewView([]shard.Reader{snap}, snap.NumUsers())
+	}
+	p, err := s.openPool()
+	if err != nil {
+		return nil, err
+	}
+	return p.View(), nil
+}
+
+// dataset loads the -data checkpoint (mapped or heap) or the -in edge
+// list. A mapping lives for the process lifetime; the kernel reclaims it
+// at exit.
+func (s source) dataset() (*kiff.Dataset, error) {
+	switch {
+	case s.data != "" && s.mmap:
+		md, err := kiff.LoadDatasetMapped(s.data)
+		if err != nil {
+			return nil, fmt.Errorf("load dataset: %w", err)
+		}
+		fmt.Fprintf(s.stderr, "kiffserve: dataset %s loaded (mmap=%v)\n", s.data, md.Mapped())
+		return md.Dataset(), nil
+	case s.data != "":
+		ds, err := kiff.LoadDataset(s.data)
+		if err != nil {
+			return nil, fmt.Errorf("load dataset: %w", err)
+		}
+		fmt.Fprintf(s.stderr, "kiffserve: dataset %s loaded (heap)\n", s.data)
+		return ds, nil
+	}
+	ds, err := kiff.LoadFile(s.in, kiff.LoadOptions{Binary: s.binary})
+	if err != nil {
+		return nil, fmt.Errorf("load edge list: %w", err)
+	}
+	fmt.Fprintf(s.stderr, "kiffserve: loaded %s\n", ds.Stats())
+	return ds, nil
+}
+
+// loadGraph loads the -graph checkpoint (mapped or heap).
+func (s source) loadGraph() (*kiff.Graph, error) {
+	if s.mmap {
+		mg, err := kiff.LoadGraphMapped(s.graph)
+		if err != nil {
+			return nil, fmt.Errorf("load graph: %w", err)
+		}
+		g := mg.Graph()
+		fmt.Fprintf(s.stderr, "kiffserve: graph %s loaded: k=%d, %d users, %d edges (mmap=%v, construction skipped)\n",
+			s.graph, g.K(), g.NumUsers(), g.NumEdges(), mg.Mapped())
+		return g, nil
+	}
+	g, err := kiff.LoadGraph(s.graph)
+	if err != nil {
+		return nil, fmt.Errorf("load graph: %w", err)
+	}
+	fmt.Fprintf(s.stderr, "kiffserve: graph %s loaded: k=%d, %d users, %d edges (heap, construction skipped)\n",
+		s.graph, g.K(), g.NumUsers(), g.NumEdges())
+	return g, nil
 }
 
 // serve runs the HTTP front-end over the assembled serving source until
@@ -453,22 +399,17 @@ func serve(ctx context.Context, cfg server.Config, addr string, stderr io.Writer
 		err = cerr
 	}
 	switch {
-	case cfg.Maintainer != nil && cfg.Maintainer.WALAttached():
-		// The log already holds every acknowledged mutation (append →
+	case cfg.Pool != nil && cfg.Pool.WALAttached():
+		// The logs already hold every acknowledged mutation (append →
 		// apply → ack), so a logged server takes no final checkpoint —
 		// the next boot replays instead. SaveFinal would in fact refuse:
-		// saving rotates the log against a directory the boot scan never
+		// saving rotates the logs against a directory the boot scan never
 		// considers.
-		if cerr := cfg.Maintainer.CloseWAL(); err == nil {
-			err = cerr
-		}
-		fmt.Fprintf(stderr, "kiffserve: wal closed (boot replays it; no final checkpoint needed)\n")
-	case cfg.Pool != nil && cfg.Pool.WALAttached():
 		if cerr := cfg.Pool.CloseWAL(); err == nil {
 			err = cerr
 		}
 		fmt.Fprintf(stderr, "kiffserve: wal closed (boot replays it; no final checkpoint needed)\n")
-	case cfg.CheckpointDir != "" && cfg.Static == nil:
+	case cfg.Pool != nil && cfg.CheckpointDir != "":
 		// Close flushed every accepted mutation, so this final checkpoint
 		// contains everything the server acknowledged — the reason a
 		// SIGTERM never loses writes when -checkpoint is set.

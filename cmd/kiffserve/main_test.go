@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"kiff"
+	"kiff/internal/wal"
 )
 
 // writeEdgeList materializes a small deterministic edge list.
@@ -166,9 +167,10 @@ func TestServeFlagValidation(t *testing.T) {
 }
 
 // TestServeShardedLifecycle covers the -shards cold build, -save-pool
-// checkpointing, and the -pool restart path, asserting the sharded
-// server answers /query identically to the unsharded one over the same
-// data and that /stats carries per-shard counters.
+// checkpointing, and the -pool restart path (mutable and -readonly),
+// asserting the sharded server answers /query identically to the
+// unsharded one over the same data and that /stats carries per-shard
+// counters.
 func TestServeShardedLifecycle(t *testing.T) {
 	edges := writeEdgeList(t)
 	poolDir := filepath.Join(t.TempDir(), "pool")
@@ -249,6 +251,24 @@ func TestServeShardedLifecycle(t *testing.T) {
 	if err := shutdownRestarted(); err != nil {
 		t.Fatal(err)
 	}
+
+	// The same checkpoint served read-only: a View over the mapped shard
+	// files, same answers, mutations refused.
+	ro, shutdownRO := boot(t, "-readonly", "-pool", poolDir)
+	if got, want := queryBody(ro), queryBody(single2); got != want {
+		t.Fatalf("read-only pool /query diverged\n got: %s\nwant: %s", got, want)
+	}
+	resp, err = http.Post(ro+"/users", "application/json", strings.NewReader(`{"profile":{"1":4}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusForbidden {
+		t.Fatalf("read-only pool insert: %d, want 403", resp.StatusCode)
+	}
+	if err := shutdownRO(); err != nil {
+		t.Fatal(err)
+	}
 	if err := shutdownSingle2(); err != nil {
 		t.Fatal(err)
 	}
@@ -257,14 +277,108 @@ func TestServeShardedLifecycle(t *testing.T) {
 func TestServeShardedFlagValidation(t *testing.T) {
 	var stderr bytes.Buffer
 	cases := [][]string{
-		{"-shards", "4", "-graph", "/x.kfg", "-data", "/x.kfd"}, // -graph unused in sharded mode
-		{"-shards", "4", "-readonly", "-data", "/x.kfd"},        // no static pool mode
-		{"-save-pool", "/tmp/p"},                                // requires sharded mode
+		{"-shards", "4", "-graph", "/x.kfg", "-data", "/x.kfd"}, // -graph seeds one maintainer
+		{"-shards", "0", "-in", "/x.tsv"},                       // no such pool
+		{"-graph", "/x.kfg"},                                    // -graph requires -data
 		{"-pool", "/does/not/exist"},                            // missing manifest
 	}
 	for _, args := range cases {
 		if err := run(context.Background(), args, &stderr, nil); err == nil {
 			t.Errorf("args %v accepted, want error", args)
 		}
+	}
+}
+
+// bootErr runs kiffserve and returns the error it exits with before
+// serving; a server that comes up instead is shut down and reported as
+// a nil error.
+func bootErr(args ...string) error {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ready := make(chan string, 1)
+	errc := make(chan error, 1)
+	go func() {
+		errc <- run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), io.Discard, ready)
+	}()
+	select {
+	case err := <-errc:
+		return err
+	case <-ready:
+		cancel()
+		<-errc
+		return nil
+	}
+}
+
+// writeUnshardedLog writes a KFL1 log under the single-log name older
+// releases used (wal.kfl), holding one logged insert.
+func writeUnshardedLog(t *testing.T, dir string) {
+	t.Helper()
+	l, err := wal.Open(filepath.Join(dir, "wal.kfl"), wal.Options{Sync: wal.SyncNever}, func(wal.Record) error {
+		return fmt.Errorf("fresh log replayed a record")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(wal.Record{Kind: wal.KindAddUser, Items: []uint32{1, 9}, Weights: []float64{4, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServeWALRefusesUnshardedLog: a -wal directory still holding the
+// single log of an older unsharded server (wal.kfl) is refused at any
+// shard count — replaying it would need its records, ignoring it would
+// lose them — and the documented migration (rename it to wal.0.kfl)
+// recovers the logged write on one shard.
+func TestServeWALRefusesUnshardedLog(t *testing.T) {
+	edges := writeEdgeList(t)
+	walDir := t.TempDir()
+	writeUnshardedLog(t, walDir)
+	for _, shards := range []string{"1", "4"} {
+		err := bootErr("-in", edges, "-k", "5", "-shards", shards, "-wal", walDir)
+		if err == nil || !strings.Contains(err.Error(), "wal.kfl") {
+			t.Fatalf("-shards %s over a wal.kfl directory: err = %v, want a refusal naming wal.kfl", shards, err)
+		}
+	}
+
+	if err := os.Rename(filepath.Join(walDir, "wal.kfl"), filepath.Join(walDir, "wal.0.kfl")); err != nil {
+		t.Fatal(err)
+	}
+	url, shutdown := boot(t, "-in", edges, "-k", "5", "-wal", walDir)
+	resp, err := http.Get(url + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var health struct {
+		Users int `json:"users"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if health.Users != 31 { // 30 from the edge list + the logged insert
+		t.Fatalf("migrated log: %d users, want 31", health.Users)
+	}
+	if err := shutdown(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServeWALRefusesForeignShardLogs: logs left by a 4-shard server
+// hold that partition's local IDs, so a 2-shard start over the same
+// -wal directory is refused, naming the logs it has no shard for.
+func TestServeWALRefusesForeignShardLogs(t *testing.T) {
+	edges := writeEdgeList(t)
+	walDir := t.TempDir()
+	_, shutdown := boot(t, "-in", edges, "-k", "5", "-shards", "4", "-wal", walDir)
+	if err := shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	err := bootErr("-in", edges, "-k", "5", "-shards", "2", "-wal", walDir)
+	if err == nil || !strings.Contains(err.Error(), "wal.2.kfl") || !strings.Contains(err.Error(), "wal.3.kfl") {
+		t.Fatalf("-shards 2 over 4-shard logs: err = %v, want a refusal naming wal.2.kfl and wal.3.kfl", err)
 	}
 }

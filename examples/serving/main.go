@@ -66,8 +66,14 @@ func main() {
 	}
 	mg.Close() // heap seeding done; the maintainer owns its own state
 
+	// The serving backend is a pool; an unsharded one has one shard.
+	pool, err := kiff.OneShardPool(m)
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	// --- Serve ----------------------------------------------------------
-	srv, err := server.New(server.Config{Maintainer: m, QueryBudget: 20})
+	srv, err := server.New(server.Config{Pool: pool, QueryBudget: 20})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,8 +27,8 @@ package dataset
 // similarity computed from a loaded dataset is bit-identical. A dataset
 // whose users are all binary stays binary (no weights section).
 //
-// Version 1 (varint-packed, delta-coded IDs) stays readable through
-// ReadBinary; it cannot be viewed in place.
+// Version 1 (varint-packed, delta-coded IDs) is no longer read: it
+// fails like any unknown version.
 //
 // Profiles are decoded straight into shared arenas (the same layout
 // Compact produces). The item-profile index is NOT rebuilt eagerly: it
@@ -118,9 +118,9 @@ func WriteBinary(w io.Writer, d *Dataset) error {
 	return aw.Close()
 }
 
-// ReadBinary decodes a dataset written by WriteBinary (either format
-// version), verifying the checksum and the dataset invariants, with every
-// byte copied through the heap — the portable path. For the zero-copy
+// ReadBinary decodes a dataset written by WriteBinary, verifying the
+// checksum and the dataset invariants, with every byte copied through
+// the heap — the portable path. For the zero-copy
 // alternative see ViewBinary/OpenMapped. The item-profile index is left
 // unbuilt (see the package comment); EnsureItemProfiles builds it on
 // first use. Corrupt input yields an error wrapping arena.ErrCorrupt;
@@ -131,76 +131,10 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
-	switch version {
-	case 1:
-		return readV1(ar)
-	case datasetVersion:
-		return decodeV2(ar)
-	default:
+	if version != datasetVersion {
 		return nil, fmt.Errorf("dataset: %w: unsupported version %d", arena.ErrCorrupt, version)
 	}
-}
-
-// readV1 decodes the legacy varint-packed, delta-coded layout.
-func readV1(ar *arena.Reader) (*Dataset, error) {
-	name := ar.Bytes(maxNameLen)
-	numUsers := ar.Uvarint()
-	numItems := ar.UvarintMax(1<<32, "item count")
-	users := make([]sparse.Vector, 0, arena.PreallocCap(numUsers))
-	ids := make([]uint32, 0, arena.PreallocCap(numUsers)) // grows with input
-	var weights []float64
-	for u := uint64(0); u < numUsers && ar.Err() == nil; u++ {
-		header := ar.Uvarint()
-		plen := header >> 1
-		weighted := header&1 == 1
-		if plen > numItems {
-			return nil, fmt.Errorf("dataset: %w: user %d profile length %d exceeds item count %d",
-				arena.ErrCorrupt, u, plen, numItems)
-		}
-		lo := len(ids)
-		prev := uint64(0)
-		for i := uint64(0); i < plen && ar.Err() == nil; i++ {
-			delta := ar.Uvarint()
-			var id uint64
-			if i == 0 {
-				id = delta
-			} else {
-				id = prev + delta
-				if delta == 0 {
-					return nil, fmt.Errorf("dataset: %w: user %d profile not strictly ascending", arena.ErrCorrupt, u)
-				}
-			}
-			if id >= numItems {
-				return nil, fmt.Errorf("dataset: %w: user %d references item %d ≥ %d",
-					arena.ErrCorrupt, u, id, numItems)
-			}
-			prev = id
-			ids = append(ids, uint32(id))
-		}
-		v := sparse.Vector{IDs: ids[lo:len(ids):len(ids)]}
-		if weighted {
-			wlo := len(weights)
-			for i := uint64(0); i < plen && ar.Err() == nil; i++ {
-				weights = append(weights, ar.Float64())
-			}
-			v.Weights = weights[wlo:len(weights):len(weights)]
-		}
-		users = append(users, v)
-	}
-	if err := ar.Err(); err != nil {
-		return nil, fmt.Errorf("dataset: %w", err)
-	}
-	if err := ar.Close(); err != nil {
-		return nil, fmt.Errorf("dataset: %w", err)
-	}
-	d := &Dataset{Name: string(name), Users: users, numItems: int(numItems)}
-	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("dataset: %w: %v", arena.ErrCorrupt, err)
-	}
-	// The streaming decode may have left early profiles in retired growth
-	// arrays; one compaction pass re-unifies them into a single arena.
-	d.Compact()
-	return d, nil
+	return decodeV2(ar)
 }
 
 // decodeV2 walks the aligned-section layout through either decode path —

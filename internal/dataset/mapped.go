@@ -14,7 +14,6 @@ package dataset
 // long-lived maintainers that want to stay zero-copy should avoid it.
 
 import (
-	"bytes"
 	"fmt"
 
 	"kiff/internal/arena"
@@ -23,15 +22,11 @@ import (
 // ViewBinary decodes a dataset from an in-memory buffer, aliasing the
 // buffer wherever the platform allows instead of copying. The returned
 // Dataset's profiles are valid only as long as buf is; do not mutate buf
-// afterwards. Version-1 input falls back to a heap decode, which imposes
-// no lifetime constraint.
+// afterwards.
 func ViewBinary(buf []byte) (*Dataset, error) {
 	v, version, err := arena.NewView(buf, datasetMagic)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
-	}
-	if version == 1 {
-		return ReadBinary(bytes.NewReader(buf))
 	}
 	if version != datasetVersion {
 		return nil, fmt.Errorf("dataset: %w: unsupported version %d", arena.ErrCorrupt, version)

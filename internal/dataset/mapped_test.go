@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"kiff/internal/arena"
@@ -78,61 +79,22 @@ func TestViewBinaryMatchesReadBinary(t *testing.T) {
 	}
 }
 
-// TestViewBinaryReadsLegacyV1 pins backward compatibility with the
-// varint-packed, delta-coded version 1 layout.
-func TestViewBinaryReadsLegacyV1(t *testing.T) {
-	orig := codecFixture(t)
-	raw := encodeV1(t, orig)
-	read, err := ReadBinary(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("ReadBinary(v1): %v", err)
-	}
-	viewed, err := ViewBinary(raw)
-	if err != nil {
-		t.Fatalf("ViewBinary(v1): %v", err)
-	}
-	datasetsEquivalent(t, orig, read)
-	datasetsEquivalent(t, orig, viewed)
-	// v1 preserves per-user binariness exactly.
-	for u := range orig.Users {
-		if orig.Users[u].IsBinary() != read.Users[u].IsBinary() {
-			t.Fatalf("user %d: v1 binariness changed", u)
-		}
-	}
-}
-
-// encodeV1 re-implements the legacy layout (delta-coded IDs, per-user
-// weighted bit) so decoder compatibility stays pinned.
-func encodeV1(t *testing.T, d *Dataset) []byte {
-	t.Helper()
+// TestViewBinaryRejectsLegacyV1: version-1 files (varint-packed,
+// delta-coded IDs) are no longer read; both entry points refuse them
+// like any unknown version.
+func TestViewBinaryRejectsLegacyV1(t *testing.T) {
 	var buf bytes.Buffer
 	w := arena.NewWriter(&buf, datasetMagic, 1)
-	w.Bytes([]byte(d.Name))
-	w.Uvarint(uint64(len(d.Users)))
-	w.Uvarint(uint64(d.NumItems()))
-	for _, u := range d.Users {
-		header := uint64(u.Len()) << 1
-		if u.Weights != nil {
-			header |= 1
-		}
-		w.Uvarint(header)
-		prev := uint32(0)
-		for i, id := range u.IDs {
-			if i == 0 {
-				w.Uvarint(uint64(id))
-			} else {
-				w.Uvarint(uint64(id - prev))
-			}
-			prev = id
-		}
-		for _, wt := range u.Weights {
-			w.Float64(wt)
-		}
-	}
+	w.Bytes([]byte(codecFixture(t).Name))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); !errors.Is(err, arena.ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("ReadBinary(v1) = %v, want ErrCorrupt \"unsupported version 1\"", err)
+	}
+	if _, err := ViewBinary(buf.Bytes()); !errors.Is(err, arena.ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("ViewBinary(v1) = %v, want ErrCorrupt \"unsupported version 1\"", err)
+	}
 }
 
 func TestOpenMapped(t *testing.T) {

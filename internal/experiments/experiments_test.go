@@ -499,8 +499,10 @@ func TestHyRecRSweepTradeoff(t *testing.T) {
 	// The tiny 1% wikipedia (~120 users) is too small for r to matter:
 	// neighbors-of-neighbors already cover almost every user, so the
 	// random picks land on already-marked candidates. Use 5% (~300 users),
-	// where the sweep showed a clear volume increase.
-	h := New(Options{Scale: 0.05, Seed: 42, RecallSample: 0, KCap: 12})
+	// where the sweep showed a clear volume increase. One worker: HyRec's
+	// star join updates shared heaps from every worker, so with more than
+	// one the per-iteration scan depends on scheduling.
+	h := New(Options{Scale: 0.05, Seed: 42, Workers: 1, RecallSample: 0, KCap: 12})
 	res, err := h.HyRecRSweep()
 	if err != nil {
 		t.Fatal(err)

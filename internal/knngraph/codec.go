@@ -20,7 +20,7 @@ package knngraph
 //	    uint32 neighbor ID (LE) · 4 zero bytes · float64 similarity bits (LE)
 //
 // Version 1 (varint-packed, written by releases before the mmap path)
-// stays readable through ReadBinary; it cannot be viewed in place.
+// is no longer read: it fails like any unknown version.
 //
 // Similarities are stored as raw IEEE-754 bits, so a decoded graph is
 // bit-identical to the encoded one — recall computed against a loaded
@@ -107,8 +107,7 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 	return aw.Count(), err
 }
 
-// ReadBinary decodes a graph written by WriteTo (either format version),
-// verifying the checksum and the graph invariants, with every byte copied
+// ReadBinary decodes a graph written by WriteTo, verifying the checksum and the graph invariants, with every byte copied
 // through the heap — the portable path. For the zero-copy alternative see
 // ViewBinary/OpenMapped. Corrupt input yields an error wrapping
 // arena.ErrCorrupt; decoding never panics and allocates no more than a
@@ -118,48 +117,10 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("knngraph: %w", err)
 	}
-	switch version {
-	case 1:
-		return readV1(ar)
-	case graphVersion:
-		return readV2(ar)
-	default:
+	if version != graphVersion {
 		return nil, fmt.Errorf("knngraph: %w: unsupported version %d", arena.ErrCorrupt, version)
 	}
-}
-
-// readV1 decodes the legacy varint-packed layout.
-func readV1(ar *arena.Reader) (*Graph, error) {
-	// The k cap also keeps the running offset total far from int64
-	// overflow (row lengths are ≤ k and cost ≥ 1 input byte each).
-	k := ar.UvarintMax(maxK, "k")
-	n := ar.Uvarint()
-	offsets := make([]int64, 1, arena.PreallocCap(n)+1)
-	total := int64(0)
-	for u := uint64(0); u < n && ar.Err() == nil; u++ {
-		l := ar.UvarintMax(k, "neighbor list length")
-		total += int64(l)
-		offsets = append(offsets, total)
-	}
-	if total < 0 {
-		return nil, fmt.Errorf("knngraph: %w: offset overflow", arena.ErrCorrupt)
-	}
-	if err := ar.Err(); err != nil {
-		return nil, fmt.Errorf("knngraph: %w", err)
-	}
-	entries := make([]Neighbor, 0, arena.PreallocCap(uint64(total)))
-	for i := int64(0); i < total && ar.Err() == nil; i++ {
-		id := ar.UvarintMax(1<<32-1, "neighbor ID")
-		sim := ar.Float64()
-		entries = append(entries, Neighbor{ID: uint32(id), Sim: sim})
-	}
-	if err := ar.Err(); err != nil {
-		return nil, fmt.Errorf("knngraph: %w", err)
-	}
-	if err := ar.Close(); err != nil {
-		return nil, fmt.Errorf("knngraph: %w", err)
-	}
-	return finishDecode(int(k), offsets, entries)
+	return readV2(ar)
 }
 
 // readV2 decodes the aligned-section layout through the heap. Unlike the

@@ -109,14 +109,17 @@ func TestGraphBinaryRejectsCorruption(t *testing.T) {
 // error, never panic (the CRC only protects against accidental
 // corruption, not adversarial construction).
 func TestGraphBinaryRejectsAdversarialLengths(t *testing.T) {
-	craft := func(k, n uint64, rowLens []uint64) []byte {
+	// craft writes a version-2 header, the offsets, and records zeroed
+	// edge records.
+	craft := func(k, n, e uint64, offsets []int64, records int) []byte {
 		var buf bytes.Buffer
-		w := arena.NewWriter(&buf, "KFG1", 1)
+		w := arena.NewWriter(&buf, "KFG1", graphVersion)
 		w.Uvarint(k)
 		w.Uvarint(n)
-		for _, l := range rowLens {
-			w.Uvarint(l)
-		}
+		w.Uvarint(e)
+		w.Align(8)
+		w.Int64s(offsets)
+		w.Raw(make([]byte, records*neighborRecSize))
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -126,10 +129,11 @@ func TestGraphBinaryRejectsAdversarialLengths(t *testing.T) {
 		name string
 		data []byte
 	}{
-		{"k overflows int64", craft(1<<63, 4, []uint64{1 << 62, 1 << 62, 1 << 62, 1 << 62})},
-		{"row lengths overflow total", craft(1<<32-1, 8, []uint64{1<<32 - 1, 1<<32 - 1, 1<<32 - 1, 1<<32 - 1, 1<<32 - 1, 1<<32 - 1, 1<<32 - 1, 1<<32 - 1})},
-		{"entries missing for claimed total", craft(5, 2, []uint64{5, 5})},
-		{"huge user count, no rows", craft(3, 1<<50, nil)},
+		{"k overflows int64", craft(1<<63, 4, 0, []int64{0, 0, 0, 0, 0}, 0)},
+		{"row lengths overflow total", craft(5, 2, 2, []int64{0, 1<<63 - 1, 2}, 2)},
+		{"offsets decrease", craft(5, 2, 4, []int64{0, 5, 4}, 4)},
+		{"entries missing for claimed total", craft(5, 2, 10, []int64{0, 5, 10}, 0)},
+		{"huge user count, no rows", craft(3, 1<<50, 0, nil, 0)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

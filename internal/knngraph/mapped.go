@@ -11,7 +11,6 @@ package knngraph
 // the same checkpoint.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -33,16 +32,11 @@ var neighborRecordsViewable = arena.HostLittleEndian &&
 // ViewBinary decodes a graph from an in-memory buffer, aliasing the
 // buffer wherever the platform allows instead of copying (see the package
 // comment of arena.View for the exact conditions). The returned Graph is
-// valid only as long as buf is; do not mutate buf afterwards. Version-1
-// input is varint-packed and falls back to a heap decode, which imposes
-// no lifetime constraint.
+// valid only as long as buf is; do not mutate buf afterwards.
 func ViewBinary(buf []byte) (*Graph, error) {
 	v, version, err := arena.NewView(buf, graphMagic)
 	if err != nil {
 		return nil, fmt.Errorf("knngraph: %w", err)
-	}
-	if version == 1 {
-		return ReadBinary(bytes.NewReader(buf))
 	}
 	if version != graphVersion {
 		return nil, fmt.Errorf("knngraph: %w: unsupported version %d", arena.ErrCorrupt, version)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"kiff/internal/arena"
@@ -52,45 +53,22 @@ func TestViewBinaryMatchesReadBinary(t *testing.T) {
 	graphsBitIdentical(t, read, viewed)
 }
 
-// TestViewBinaryReadsLegacyV1: version-1 files stay loadable through both
-// entry points (ViewBinary falls back to a heap decode for them).
-func TestViewBinaryReadsLegacyV1(t *testing.T) {
-	orig := codecFixture()
-	raw := encodeV1(t, orig)
-	read, err := ReadBinary(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("ReadBinary(v1): %v", err)
-	}
-	viewed, err := ViewBinary(raw)
-	if err != nil {
-		t.Fatalf("ViewBinary(v1): %v", err)
-	}
-	graphsBitIdentical(t, orig, read)
-	graphsBitIdentical(t, orig, viewed)
-}
-
-// encodeV1 re-implements the legacy varint-packed layout so the decoder's
-// backward compatibility stays pinned even though WriteTo moved on.
-func encodeV1(t *testing.T, g *Graph) []byte {
-	t.Helper()
+// TestViewBinaryRejectsLegacyV1: version-1 files (the varint-packed
+// layout of releases before the mmap path) are no longer read; both entry
+// points refuse them like any unknown version.
+func TestViewBinaryRejectsLegacyV1(t *testing.T) {
 	var buf bytes.Buffer
 	w := arena.NewWriter(&buf, graphMagic, 1)
-	w.Uvarint(uint64(g.K()))
-	n := g.NumUsers()
-	w.Uvarint(uint64(n))
-	for u := 0; u < n; u++ {
-		w.Uvarint(uint64(len(g.Neighbors(uint32(u)))))
-	}
-	for u := 0; u < n; u++ {
-		for _, e := range g.Neighbors(uint32(u)) {
-			w.Uvarint(uint64(e.ID))
-			w.Float64(e.Sim)
-		}
-	}
+	w.Uvarint(uint64(codecFixture().K()))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); !errors.Is(err, arena.ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("ReadBinary(v1) = %v, want ErrCorrupt \"unsupported version 1\"", err)
+	}
+	if _, err := ViewBinary(buf.Bytes()); !errors.Is(err, arena.ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("ViewBinary(v1) = %v, want ErrCorrupt \"unsupported version 1\"", err)
+	}
 }
 
 func TestOpenMapped(t *testing.T) {

@@ -108,6 +108,12 @@ type Counters struct {
 	Rebuilds int64
 	// RebuiltUsers counts users refreshed across all Rebuild passes.
 	RebuiltUsers int64
+	// Iterations counts the refinement chunks maintenance ran (the
+	// maintained counterpart of Run.Iterations).
+	Iterations int64
+	// WallNs is the cumulative wall time of Insert, InsertBatch and
+	// Rebuild calls, in nanoseconds (summed over shards in aggregates).
+	WallNs int64
 
 	// Publishes counts snapshot publications (the copy-on-write exports
 	// that make mutations visible to readers).
@@ -141,6 +147,8 @@ func (c *Counters) Add(o Counters) {
 	c.Inserts += o.Inserts
 	c.Rebuilds += o.Rebuilds
 	c.RebuiltUsers += o.RebuiltUsers
+	c.Iterations += o.Iterations
+	c.WallNs += o.WallNs
 	c.Publishes += o.Publishes
 	c.PagesCopied += o.PagesCopied
 	c.PagesShared += o.PagesShared

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -10,61 +9,15 @@ import (
 	"regexp"
 	"strconv"
 
-	"kiff"
-	"kiff/internal/fsio"
 	"kiff/internal/shard"
 )
 
-// Checkpoint file names inside a maintainer-mode checkpoint directory.
-// (Pool-mode checkpoints are laid out by shard.Pool.Save: per-shard
-// graph.i.kfg/data.i.kfd plus a manifest.) A restarting kiffserve
-// consumes the pair via -graph/-data, or the whole directory via -pool —
-// or, with -wal, finds the latest generation itself (LatestCheckpoint).
-const (
-	GraphCheckpointFile = "graph.kfg"
-	DataCheckpointFile  = "data.kfd"
-)
+// A checkpoint is the directory shard.Pool.Save writes: per-shard
+// graph.i.kfg/data.i.kfd plus the manifest, written last. A restarting
+// kiffserve consumes it via -pool — or, with -wal, finds the latest
+// generation itself (LatestCheckpoint).
 
-// CheckpointMetaFile is the maintainer-mode sidecar written last into a
-// checkpoint directory — its presence marks the checkpoint complete
-// (pool mode uses the manifest the same way), and it carries the
-// write-ahead-log horizon replay resumes above.
-const CheckpointMetaFile = "ckpt.json"
-
-// checkpointMetaSchema identifies the ckpt.json format.
-const checkpointMetaSchema = "kiff/ckpt/v1"
-
-// CheckpointMeta is the ckpt.json payload.
-type CheckpointMeta struct {
-	// Schema is checkpointMetaSchema.
-	Schema string `json:"schema"`
-	// Gen is the checkpoint generation (the N of its ckpt-N directory;
-	// 0 for checkpoints saved outside the generation sequence).
-	Gen uint64 `json:"gen"`
-	// WalLSN is the write-ahead-log horizon at capture: the checkpoint
-	// covers log records 1..WalLSN. 0 when no log was attached.
-	WalLSN uint64 `json:"wal_lsn"`
-}
-
-// ReadCheckpointMeta loads a maintainer-mode checkpoint's ckpt.json.
-func ReadCheckpointMeta(dir string) (CheckpointMeta, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, CheckpointMetaFile))
-	if err != nil {
-		return CheckpointMeta{}, fmt.Errorf("server: checkpoint meta: %w", err)
-	}
-	var meta CheckpointMeta
-	if err := json.Unmarshal(raw, &meta); err != nil {
-		return CheckpointMeta{}, fmt.Errorf("server: checkpoint meta: %w", err)
-	}
-	if meta.Schema != checkpointMetaSchema {
-		return CheckpointMeta{}, fmt.Errorf("server: checkpoint meta: schema %q, want %q", meta.Schema, checkpointMetaSchema)
-	}
-	return meta, nil
-}
-
-// ckptGenRe matches generation-named checkpoint directories. The old
-// ckpt-<pid>-<seq> scheme deliberately does not match: those directories
-// are left alone and never considered "latest".
+// ckptGenRe matches generation-named checkpoint directories.
 var ckptGenRe = regexp.MustCompile(`^ckpt-(\d+)$`)
 
 // nextCheckpointGen scans root and returns one past the highest
@@ -92,9 +45,8 @@ func nextCheckpointGen(root string) uint64 {
 }
 
 // LatestCheckpoint returns the newest complete checkpoint under root:
-// the highest-generation ckpt-N directory holding a completeness marker
-// (ckpt.json for maintainer checkpoints, the shard manifest for pool
-// checkpoints). ok is false when root has none — the cold-start case.
+// the highest-generation ckpt-N directory holding a manifest (written
+// last, so its presence marks the checkpoint complete). ok is false when root has none — the cold-start case.
 // Picking latest here, rather than trusting the caller to remember a
 // path, is what keeps restart-with-WAL safe: the logs were rotated
 // against the newest checkpoint, so replaying on top of an older one
@@ -115,21 +67,16 @@ func LatestCheckpoint(root string) (dir string, ok bool) {
 			continue
 		}
 		p := filepath.Join(root, e.Name())
-		if fileExists(filepath.Join(p, CheckpointMetaFile)) || fileExists(filepath.Join(p, shard.ManifestFile)) {
+		if _, err := os.Stat(filepath.Join(p, shard.ManifestFile)); err == nil {
 			best, dir, ok = g, p, true
 		}
 	}
 	return dir, ok
 }
 
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
-}
-
 // handleCheckpoint runs a checkpoint through the writer queue: the save
 // executes on the writer goroutine between batches, so it observes a
-// quiesced maintainer that includes every mutation acknowledged before
+// quiesced pool that includes every mutation acknowledged before
 // it — the on-demand durability point the chaos harness restarts from.
 // Only routed when Config.CheckpointDir is set; read-only servers
 // return 403 like any other mutation.
@@ -153,7 +100,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 // later LatestCheckpoint finds this save by its generation.
 func (s *Server) checkpoint() (string, error) {
 	dir := filepath.Join(s.cfg.CheckpointDir, fmt.Sprintf("ckpt-%d", s.ckptSeq))
-	if err := s.saveTo(dir, s.ckptSeq); err != nil {
+	if err := s.pool.Save(dir); err != nil {
 		return dir, err
 	}
 	s.ckptSeq++
@@ -173,7 +120,7 @@ func (s *Server) checkpoint() (string, error) {
 // logged server does not need a final save — its log already holds
 // every acknowledged mutation, and boot replays it.
 func (s *Server) SaveFinal(dir string) error {
-	if s.w == nil {
+	if s.readOnly() {
 		return errReadOnly
 	}
 	if s.walAttached() {
@@ -184,56 +131,5 @@ func (s *Server) SaveFinal(dir string) error {
 	default:
 		return errors.New("server: SaveFinal requires Close first (the writer still owns the state)")
 	}
-	return s.saveTo(dir, 0)
-}
-
-// saveTo writes a checkpoint of the mutable backend into dir (created
-// if missing). Pool mode delegates to shard.Pool.Save (per-shard files
-// + manifest renamed last, plus WAL horizon recording and rotation when
-// the shards log). Maintainer mode writes the graph/dataset pair
-// through fsio (temp file + rename: crash atomicity and mmap safety),
-// then the ckpt.json completeness marker, then rotates the maintainer's
-// log — by then every record the rotation discards is durably covered.
-func (s *Server) saveTo(dir string, gen uint64) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("server: checkpoint: %w", err)
-	}
-	if s.pool != nil {
-		return s.pool.Save(dir)
-	}
-	walled := s.m.WALAttached()
-	persist := fsio.Write
-	if walled {
-		// The rotation below discards log records; the files standing in
-		// for them must survive everything the log would have.
-		persist = fsio.WriteDurable
-	}
-	if err := persist(filepath.Join(dir, GraphCheckpointFile), func(f *os.File) error {
-		return kiff.WriteGraphBinary(f, s.m.Graph())
-	}); err != nil {
-		return fmt.Errorf("server: checkpoint graph: %w", err)
-	}
-	if err := persist(filepath.Join(dir, DataCheckpointFile), func(f *os.File) error {
-		return kiff.WriteDatasetBinary(f, s.m.Dataset())
-	}); err != nil {
-		return fmt.Errorf("server: checkpoint dataset: %w", err)
-	}
-	meta := CheckpointMeta{Schema: checkpointMetaSchema, Gen: gen, WalLSN: s.m.WALLastLSN()}
-	raw, err := json.MarshalIndent(meta, "", "  ")
-	if err != nil {
-		return fmt.Errorf("server: checkpoint meta: %w", err)
-	}
-	raw = append(raw, '\n')
-	if err := persist(filepath.Join(dir, CheckpointMetaFile), func(f *os.File) error {
-		_, err := f.Write(raw)
-		return err
-	}); err != nil {
-		return fmt.Errorf("server: checkpoint meta: %w", err)
-	}
-	if walled {
-		if err := s.m.WALRotate(); err != nil {
-			return fmt.Errorf("server: checkpoint: %w", err)
-		}
-	}
-	return nil
+	return s.pool.Save(dir)
 }

@@ -33,7 +33,7 @@ func newMaintainerServer(t *testing.T, mutate func(*Config)) (*Server, *httptest
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Maintainer: m, Logf: t.Logf}
+	cfg := Config{Pool: onePool(t, m), Logf: t.Logf}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -130,7 +130,7 @@ func TestServerErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsrv, err := New(Config{Static: snap, CheckpointDir: t.TempDir()})
+	rsrv, err := New(Config{Static: staticView(t, snap), CheckpointDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,15 +214,12 @@ func TestServerCloseFlushesQueue(t *testing.T) {
 	if err := srv.SaveFinal(final); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := kiff.LoadDataset(filepath.Join(final, DataCheckpointFile))
+	p2, err := kiff.LoadShardedMaintainer(final, kiff.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d2.NumUsers() != users0+pending {
-		t.Fatalf("final checkpoint has %d users, want %d", d2.NumUsers(), users0+pending)
-	}
-	if _, err := kiff.LoadGraph(filepath.Join(final, GraphCheckpointFile)); err != nil {
-		t.Fatal(err)
+	if p2.NumUsers() != users0+pending {
+		t.Fatalf("final checkpoint has %d users, want %d", p2.NumUsers(), users0+pending)
 	}
 
 	// New mutations after Close still fail cleanly.
@@ -351,9 +348,9 @@ func TestServerFaultsEndpoint(t *testing.T) {
 	}
 }
 
-// TestServerCheckpointEndpoint: POST /checkpoint on a maintainer server
-// writes a loadable graph+dataset pair whose restarted server answers
-// /query and /neighbors identically (modulo snapshot version).
+// TestServerCheckpointEndpoint: POST /checkpoint on a one-shard server
+// writes a loadable checkpoint whose restarted server answers /query and
+// /neighbors identically (modulo snapshot version).
 func TestServerCheckpointEndpoint(t *testing.T) {
 	ckptDir := t.TempDir()
 	_, ts, m := newMaintainerServer(t, func(cfg *Config) { cfg.CheckpointDir = ckptDir })
@@ -391,19 +388,11 @@ func TestServerCheckpointEndpoint(t *testing.T) {
 		}
 	}
 
-	g2, err := kiff.LoadGraph(filepath.Join(dir, GraphCheckpointFile))
+	p2, err := kiff.LoadShardedMaintainer(dir, kiff.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := kiff.LoadDataset(filepath.Join(dir, DataCheckpointFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := kiff.NewMaintainerFromGraph(d2, g2, kiff.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2, err := New(Config{Maintainer: m2})
+	srv2, err := New(Config{Pool: p2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +400,7 @@ func TestServerCheckpointEndpoint(t *testing.T) {
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 
-	if got, want := m2.Dataset().NumUsers(), m.Dataset().NumUsers(); got != want {
+	if got, want := p2.NumUsers(), m.Dataset().NumUsers(); got != want {
 		t.Fatalf("restarted users = %d, want %d", got, want)
 	}
 	for i := 0; i < 10; i++ {

@@ -7,13 +7,13 @@ package server
 //     denials, writer batches) are updated inline on the hot path.
 //   - Snapshot-sourced series (queue depth, maintenance and publication
 //     counters, WAL meters, per-shard rows) are Set at scrape time from
-//     the exact same sources handleStats reads — maintainCounters,
-//     walCounters, ShardStats — so /metrics and /stats can never
+//     the exact same sources handleStats reads — the pool's Counters,
+//     WALCounters and ShardStats — so /metrics and /stats can never
 //     disagree about a value they both report.
 //
-// Families that do not apply to a configuration (WAL meters without a
-// log attached, shard rows without a pool) are not registered at all,
-// rather than exported as misleading zeros.
+// Families that do not apply to a configuration (maintenance and shard
+// rows on a read-only server, WAL meters without logs attached) are not
+// registered at all, rather than exported as misleading zeros.
 
 import (
 	"net/http"
@@ -132,7 +132,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.authFailures.With("unauthorized")
 	m.authFailures.With("forbidden")
 	m.rateLimited.With()
-	if s.w != nil {
+	if s.pool != nil {
 		m.maintSimEvals = r.NewCounter("kiffserve_maintain_sim_evals_total",
 			"Similarity evaluations spent on graph maintenance.").With()
 		m.maintInserts = r.NewCounter("kiffserve_maintain_inserts_total",
@@ -149,24 +149,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Pages shared with the previous snapshot during publications.").With()
 		m.publishSecs = r.NewCounter("kiffserve_publish_seconds_total",
 			"Cumulative wall time spent publishing snapshots.").With()
-	}
-	if s.walAttached() {
-		m.walAppended = r.NewCounter("kiffserve_wal_appends_total",
-			"Records appended to the write-ahead log since boot.").With()
-		m.walBytes = r.NewCounter("kiffserve_wal_appended_bytes_total",
-			"Bytes appended to the write-ahead log since boot.").With()
-		m.walFsyncs = r.NewCounter("kiffserve_wal_fsyncs_total",
-			"fsync calls issued by the write-ahead log.").With()
-		m.walErrors = r.NewCounter("kiffserve_wal_append_errors_total",
-			"Append failures; any nonzero value fail-stops the write path.").With()
-		m.walReplayed = r.NewCounter("kiffserve_wal_replayed_total",
-			"Records replayed from the log at startup.").With()
-		m.walTruncated = r.NewCounter("kiffserve_wal_truncated_bytes_total",
-			"Torn-tail bytes discarded by recovery at startup.").With()
-		m.walLastLSN = r.NewGauge("kiffserve_wal_last_lsn",
-			"Highest LSN durably appended (pool mode: max over shards).").With()
-	}
-	if s.pool != nil {
 		m.shardUsers = r.NewGauge("kiffserve_shard_users",
 			"Users owned by the shard.", "shard")
 		m.shardVersion = r.NewGauge("kiffserve_shard_version",
@@ -183,6 +165,22 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Pages rewritten by the shard's publications.", "shard")
 		m.shardShared = r.NewCounter("kiffserve_shard_pages_shared_total",
 			"Pages shared by the shard's publications.", "shard")
+	}
+	if s.walAttached() {
+		m.walAppended = r.NewCounter("kiffserve_wal_appends_total",
+			"Records appended to the write-ahead log since boot.").With()
+		m.walBytes = r.NewCounter("kiffserve_wal_appended_bytes_total",
+			"Bytes appended to the write-ahead log since boot.").With()
+		m.walFsyncs = r.NewCounter("kiffserve_wal_fsyncs_total",
+			"fsync calls issued by the write-ahead log.").With()
+		m.walErrors = r.NewCounter("kiffserve_wal_append_errors_total",
+			"Append failures; any nonzero value fail-stops the write path.").With()
+		m.walReplayed = r.NewCounter("kiffserve_wal_replayed_total",
+			"Records replayed from the log at startup.").With()
+		m.walTruncated = r.NewCounter("kiffserve_wal_truncated_bytes_total",
+			"Torn-tail bytes discarded by recovery at startup.").With()
+		m.walLastLSN = r.NewGauge("kiffserve_wal_last_lsn",
+			"Sum of the per-shard log LSNs (a monotonic mutation counter).").With()
 	}
 	r.OnScrape(m.collect)
 	return m
@@ -203,7 +201,8 @@ func (m *serverMetrics) collect() {
 	m.insertReq.Set(float64(s.inserts.Load()))
 	m.ratingReq.Set(float64(s.ratings.Load()))
 	m.rejected.Set(float64(s.rejected.Load()))
-	if c := s.maintainCounters.Load(); c != nil && m.maintSimEvals != nil {
+	if m.maintSimEvals != nil {
+		c := s.pool.Counters()
 		m.maintSimEvals.Set(float64(c.SimEvals))
 		m.maintInserts.Set(float64(c.Inserts))
 		m.maintRebuilds.Set(float64(c.Rebuilds))
@@ -214,7 +213,7 @@ func (m *serverMetrics) collect() {
 		m.publishSecs.Set(float64(c.PublishNs) / 1e9)
 	}
 	if m.walAppended != nil {
-		c := s.walCounters()
+		c := s.pool.WALCounters()
 		m.walAppended.Set(float64(c.Appended))
 		m.walBytes.Set(float64(c.AppendedBytes))
 		m.walFsyncs.Set(float64(c.Fsyncs))

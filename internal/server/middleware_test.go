@@ -108,7 +108,7 @@ func TestAuthScopes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Maintainer: m, APIKeys: keys})
+	srv, err := New(Config{Pool: onePool(t, m), APIKeys: keys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestRateLimitFakeClock(t *testing.T) {
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
 	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
 
-	srv, err := New(Config{Maintainer: m, RateLimit: 1, RateBurst: 2, RateLimitNow: clock})
+	srv, err := New(Config{Pool: onePool(t, m), RateLimit: 1, RateBurst: 2, RateLimitNow: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestRateLimitPerKeyOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Maintainer: m, APIKeys: keys, RateLimit: 1000, RateBurst: 1000})
+	srv, err := New(Config{Pool: onePool(t, m), APIKeys: keys, RateLimit: 1000, RateBurst: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestRequestLog(t *testing.T) {
 		defer mu.Unlock()
 		lines = append(lines, fmt.Sprintf(format, args...))
 	}
-	srv, err := New(Config{Maintainer: m, APIKeys: keys, LogRequests: true, Logf: logf})
+	srv, err := New(Config{Pool: onePool(t, m), APIKeys: keys, LogRequests: true, Logf: logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func scrapeMetrics(t *testing.T, url string) map[string]float64 {
 // agree exactly.
 func TestMetricsStatsConsistency(t *testing.T) {
 	m := newTestMaintainer(t, 4)
-	srv, err := New(Config{Maintainer: m, MaxBatch: 4})
+	srv, err := New(Config{Pool: onePool(t, m), MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,27 +392,38 @@ func TestMetricsStatsConsistency(t *testing.T) {
 			PagesCopied  float64 `json:"pages_copied"`
 			PagesShared  float64 `json:"pages_shared"`
 		} `json:"publish"`
+		Shards []struct {
+			Users   float64 `json:"users"`
+			Inserts float64 `json:"inserts"`
+		} `json:"shards"`
 	}
 	getJSON(t, ts.URL+"/stats", &stats)
 	mv := scrapeMetrics(t, ts.URL)
+	// An unsharded server is a one-shard pool: one shards row, one
+	// shard="0" series per family.
+	if len(stats.Shards) != 1 {
+		t.Fatalf("/stats shards = %d rows, want 1", len(stats.Shards))
+	}
 
 	// The /stats GET itself is not yet visible in the scrape-time request
 	// counters? It is: /stats increments nothing, and the scrape hook
 	// reads the atomics at scrape time — strictly after the getJSON above.
 	for name, want := range map[string]float64{
-		"kiffserve_snapshot_version":             stats.Version,
-		"kiffserve_snapshot_users":               stats.Users,
-		"kiffserve_mutation_queue_capacity":      stats.QueueCap,
-		"kiffserve_queries_total":                stats.Queries,
-		"kiffserve_neighbor_requests_total":      stats.Neighbors,
-		"kiffserve_insert_requests_total":        stats.Inserts,
-		"kiffserve_rating_requests_total":        stats.Ratings,
-		"kiffserve_maintain_inserts_total":       stats.Maintain.Inserts,
-		"kiffserve_maintain_rebuilds_total":      stats.Maintain.Rebuilds,
-		"kiffserve_maintain_rebuilt_users_total": stats.Maintain.RebuiltUsers,
-		"kiffserve_publications_total":           stats.Publish.Publications,
-		"kiffserve_pages_copied_total":           stats.Publish.PagesCopied,
-		"kiffserve_pages_shared_total":           stats.Publish.PagesShared,
+		"kiffserve_snapshot_version":               stats.Version,
+		"kiffserve_snapshot_users":                 stats.Users,
+		"kiffserve_mutation_queue_capacity":        stats.QueueCap,
+		"kiffserve_queries_total":                  stats.Queries,
+		"kiffserve_neighbor_requests_total":        stats.Neighbors,
+		"kiffserve_insert_requests_total":          stats.Inserts,
+		"kiffserve_rating_requests_total":          stats.Ratings,
+		"kiffserve_maintain_inserts_total":         stats.Maintain.Inserts,
+		"kiffserve_maintain_rebuilds_total":        stats.Maintain.Rebuilds,
+		"kiffserve_maintain_rebuilt_users_total":   stats.Maintain.RebuiltUsers,
+		"kiffserve_publications_total":             stats.Publish.Publications,
+		"kiffserve_pages_copied_total":             stats.Publish.PagesCopied,
+		"kiffserve_pages_shared_total":             stats.Publish.PagesShared,
+		`kiffserve_shard_users{shard="0"}`:         stats.Shards[0].Users,
+		`kiffserve_shard_inserts_total{shard="0"}`: stats.Shards[0].Inserts,
 	} {
 		got, ok := mv[name]
 		if !ok {
@@ -449,7 +460,7 @@ func TestMetricsStatsConsistency(t *testing.T) {
 // "other" label so scanners cannot blow up series cardinality.
 func TestMetricsUnknownEndpointLabel(t *testing.T) {
 	m := newTestMaintainer(t, 4)
-	srv, err := New(Config{Maintainer: m})
+	srv, err := New(Config{Pool: onePool(t, m)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +492,7 @@ func TestMetricsUnknownEndpointLabel(t *testing.T) {
 // under -race and every scrape must stay well-formed.
 func TestMetricsConcurrentScrapes(t *testing.T) {
 	m := newTestMaintainer(t, 4)
-	srv, err := New(Config{Maintainer: m, MaxBatch: 8, QueueDepth: 32})
+	srv, err := New(Config{Pool: onePool(t, m), MaxBatch: 8, QueueDepth: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,13 +7,14 @@ import (
 	"testing"
 
 	"kiff"
+	"kiff/internal/shard"
 )
 
 // referenceRecommend is the item-recommendation rule as a straight-line
 // oracle: accumulate every neighbor's similarity-weighted ratings in a
 // map (neighbor order, then profile order), skip the query's own items,
 // sort every scored item and truncate to k.
-func referenceRecommend(src source, profile kiff.Profile, nbs []kiff.Neighbor, k int) []scoredItem {
+func referenceRecommend(src *shard.View, profile kiff.Profile, nbs []kiff.Neighbor, k int) []scoredItem {
 	have := map[uint32]bool{}
 	for _, it := range profile.IDs {
 		have[it] = true
@@ -56,17 +57,17 @@ func referenceRecommend(src source, profile kiff.Profile, nbs []kiff.Neighbor, k
 	return out
 }
 
-func recommendFixture(t testing.TB, preset string, scale float64) (source, *kiff.Dataset) {
+func recommendFixture(t testing.TB, preset string, scale float64) (*shard.View, *kiff.Dataset) {
 	t.Helper()
 	d, err := kiff.GeneratePreset(preset, scale, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := kiff.NewMaintainer(d, kiff.Options{K: 20})
+	p, err := kiff.NewShardedMaintainer(d, 1, kiff.Options{K: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return snapSource{m.Snapshot()}, d
+	return p.View(), d
 }
 
 // TestRecommendItemsMatchesReference pins recommendItems bit for bit to

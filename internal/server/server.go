@@ -1,15 +1,17 @@
 // Package server implements the HTTP serving front-end over the
 // lock-free snapshot path (cmd/kiffserve is the thin binary around it).
 //
-// Reads never take a lock: every request loads the current immutable
-// kiff.Snapshot from the atomic publication pointer and serves neighbor
-// lists and profile queries from it. Writes are funneled to the single
-// writer the Maintainer requires through a bounded channel: one writer
-// goroutine drains the queue in batches (one copy-on-write publication
-// across the batch, via InsertBatch and one Rebuild per batch), and a
-// full queue pushes back on producers — a mutation request blocks until
-// the writer catches up or the client gives up, which is the server's
-// backpressure.
+// The backend is a kiff.ShardedMaintainer pool — an unsharded server is
+// a one-shard pool. Reads never take a lock: every request pins a
+// shard.View over the shards' immutable published snapshots and serves
+// neighbor lists and profile queries from it (Neighbors routes to the
+// owning shard, Query fans out and splices; one shard answers inline).
+// Writes are funneled through a bounded channel to one writer goroutine,
+// which drains the queue in batches (InsertBatch per run of inserts and
+// one Rebuild per batch, each a copy-on-write publication that the pool
+// parallelizes across shards), and a full queue pushes back on
+// producers — a mutation request blocks until the writer catches up or
+// the client gives up, which is the server's backpressure.
 //
 // Endpoints:
 //
@@ -27,15 +29,9 @@
 // to "degraded" while the mutation queue is saturated (writes block),
 // and back to "ok" once the writer catches up; reads are unaffected.
 //
-// A server constructed from a static Snapshot (no Maintainer) is
+// A server constructed from a static View pinned at boot (no pool) is
 // read-only: mutation endpoints return 403 and everything else works
 // unchanged — the zero-copy "map a checkpoint and serve" mode.
-//
-// A server over a ShardedMaintainer pool serves the same API: reads pin
-// a scatter-gather view per request (Neighbors routes to the owning
-// shard, Query fans out and splices), and the writer goroutine's batches
-// flow through the pool, which parallelizes them across shards. /stats
-// additionally reports per-shard counters.
 package server
 
 import (
@@ -52,22 +48,18 @@ import (
 	"kiff"
 	"kiff/internal/knngraph"
 	"kiff/internal/shard"
-	"kiff/internal/wal"
 )
 
-// Config assembles a Server. Exactly one of Maintainer or Pool (mutable
-// serving) or Static (read-only serving) must be set.
+// Config assembles a Server. Exactly one of Pool (mutable serving) or
+// Static (read-only serving) must be set.
 type Config struct {
-	// Maintainer is the single-writer maintained graph. The Server owns
-	// the write side: no other goroutine may mutate it while the Server
-	// is running.
-	Maintainer *kiff.Maintainer
-	// Pool is the sharded maintainer pool. As with Maintainer, the
-	// Server owns the write side while running.
+	// Pool is the maintained graph (kiff.OneShardPool wraps a single
+	// Maintainer). The Server owns the write side: no other goroutine may
+	// mutate it while the Server is running.
 	Pool *kiff.ShardedMaintainer
-	// Static serves a fixed snapshot when Maintainer and Pool are nil;
-	// mutation endpoints are disabled.
-	Static *kiff.Snapshot
+	// Static serves a View pinned at boot when Pool is nil; mutation
+	// endpoints are disabled.
+	Static *shard.View
 	// QueryBudget bounds similarity evaluations per query when the
 	// request does not set its own; ≤ 0 means exhaustive (exact) queries.
 	QueryBudget int
@@ -115,65 +107,13 @@ type Config struct {
 // before the state is checkpointed.
 var ErrClosed = errors.New("server: closed")
 
-// source is one request's pinned, immutable read view: loaded once per
-// request so routing, fan-out and the reported version are consistent.
-// *shard.View implements it directly; single snapshots are adapted by
-// snapSource.
-type source interface {
-	Version() uint64
-	NumUsers() int
-	K() int
-	Neighbors(u uint32) ([]kiff.Neighbor, error)
-	Query(profile kiff.Profile, k, budget int) ([]kiff.Neighbor, error)
-	Profile(u uint32) (kiff.Profile, bool)
-}
-
-// snapSource adapts a kiff.Snapshot to the source interface.
-type snapSource struct{ s *kiff.Snapshot }
-
-func (v snapSource) Version() uint64 { return v.s.Version() }
-func (v snapSource) NumUsers() int   { return v.s.NumUsers() }
-func (v snapSource) K() int          { return v.s.K() }
-func (v snapSource) Neighbors(u uint32) ([]kiff.Neighbor, error) {
-	return v.s.Neighbors(u), nil
-}
-func (v snapSource) Query(p kiff.Profile, k, budget int) ([]kiff.Neighbor, error) {
-	return v.s.Query(p, k, budget)
-}
-func (v snapSource) Profile(u uint32) (kiff.Profile, bool) {
-	return v.s.Profile(u)
-}
-
-// mutable is the write backend the writer goroutine drives: a
-// *kiff.Maintainer (adapted) or the sharded pool.
-type mutable interface {
-	InsertBatch(ps []kiff.Profile) ([]uint32, error)
-	AddRating(u uint32, item uint32, rating float64) error
-	Rebuild(dirty []uint32) error
-	// NumUsers is the live writer-side population, for pre-validating
-	// rating batches.
-	NumUsers() int
-	// Version is the current publication version, reported to mutation
-	// clients.
-	Version() uint64
-	Counters() kiff.Counters
-}
-
-// maintainerBackend adapts *kiff.Maintainer to mutable.
-type maintainerBackend struct{ *kiff.Maintainer }
-
-func (b maintainerBackend) NumUsers() int   { return b.Dataset().NumUsers() }
-func (b maintainerBackend) Version() uint64 { return b.Snapshot().Version() }
-
-// Server routes HTTP requests onto a snapshot source and, when mutable,
-// runs the writer goroutine. Create with New, serve via Handler, stop
-// with Close (after the HTTP listener has drained).
+// Server routes HTTP requests onto a pinned view and, when mutable, runs
+// the writer goroutine. Create with New, serve via Handler, stop with
+// Close (after the HTTP listener has drained).
 type Server struct {
 	cfg    Config
-	m      *kiff.Maintainer
-	pool   *kiff.ShardedMaintainer
-	w      mutable // nil = read-only
-	static *kiff.Snapshot
+	pool   *kiff.ShardedMaintainer // nil = read-only
+	static *shard.View
 	mux    *http.ServeMux
 
 	// handler is the mux wrapped in the middleware chain (buildChain);
@@ -196,12 +136,6 @@ type Server struct {
 	// goroutine only. Fault injection is bypassed during the flush so a
 	// held or stalled writer still terminates.
 	flushing bool
-
-	// maintainStats and maintainCounters mirror Maintainer.Stats and
-	// Maintainer.Counters after every batch, so /stats never reads the
-	// writer's live state (that would race).
-	maintainStats    atomic.Pointer[kiff.Run]
-	maintainCounters atomic.Pointer[kiff.Counters]
 
 	queries      atomic.Int64
 	neighborGets atomic.Int64
@@ -244,14 +178,8 @@ type opResult struct {
 // New validates the configuration and starts the writer goroutine (when
 // mutable). The returned Server is ready to serve.
 func New(cfg Config) (*Server, error) {
-	set := 0
-	for _, ok := range []bool{cfg.Maintainer != nil, cfg.Pool != nil, cfg.Static != nil} {
-		if ok {
-			set++
-		}
-	}
-	if set != 1 {
-		return nil, errors.New("server: exactly one of Maintainer, Pool or Static must be set")
+	if (cfg.Pool == nil) == (cfg.Static == nil) {
+		return nil, errors.New("server: exactly one of Pool or Static must be set")
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 64
@@ -264,18 +192,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:    cfg,
-		m:      cfg.Maintainer,
 		pool:   cfg.Pool,
 		static: cfg.Static,
 		ops:    make(chan op, cfg.QueueDepth),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
-	}
-	switch {
-	case s.m != nil:
-		s.w = maintainerBackend{s.m}
-	case s.pool != nil:
-		s.w = s.pool
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -307,19 +228,13 @@ func New(cfg Config) (*Server, error) {
 		s.limiter = newRateLimiter(cfg.RateLimit, burst, cfg.RateLimitNow)
 	}
 	s.handler = s.buildChain()
-	if s.w != nil {
+	if s.pool != nil {
 		if cfg.CheckpointDir != "" {
 			// Seed the generation counter from what is already on disk, so
 			// a restarted server continues the ckpt-N sequence instead of
 			// overwriting checkpoints a previous incarnation wrote.
 			s.ckptSeq = nextCheckpointGen(cfg.CheckpointDir)
 		}
-		if s.m != nil {
-			run := s.m.Stats()
-			s.maintainStats.Store(&run)
-		}
-		counters := s.w.Counters()
-		s.maintainCounters.Store(&counters)
 		go s.writer()
 	} else {
 		close(s.done)
@@ -348,60 +263,33 @@ func (s *Server) Close() error {
 
 // source pins the current serving view — the only coupling between the
 // read path and the writer.
-func (s *Server) source() source {
-	switch {
-	case s.pool != nil:
+func (s *Server) source() *shard.View {
+	if s.pool != nil {
 		return s.pool.View()
-	case s.m != nil:
-		return snapSource{s.m.Snapshot()}
-	default:
-		return snapSource{s.static}
 	}
+	return s.static
 }
 
 // readOnly reports whether mutation endpoints are disabled.
-func (s *Server) readOnly() bool { return s.w == nil }
+func (s *Server) readOnly() bool { return s.pool == nil }
 
-// walAttached reports whether the mutable backend appends mutations to
-// a write-ahead log before applying them.
-func (s *Server) walAttached() bool {
-	switch {
-	case s.m != nil:
-		return s.m.WALAttached()
-	case s.pool != nil:
-		return s.pool.WALAttached()
-	}
-	return false
-}
+// walAttached reports whether the pool appends mutations to write-ahead
+// logs before applying them.
+func (s *Server) walAttached() bool { return s.pool != nil && s.pool.WALAttached() }
 
-// walCounters aggregates the backend's log counters (pool mode sums
-// over shards). Zero value when no log is attached.
-func (s *Server) walCounters() wal.Counters {
-	switch {
-	case s.m != nil:
-		return s.m.WALCounters()
-	case s.pool != nil:
-		return s.pool.WALCounters()
-	}
-	return wal.Counters{}
-}
-
-// walError returns the append failure that fail-stopped the backend, or
-// nil while the log is healthy (or absent).
+// walError returns the append failure that fail-stopped the pool, or
+// nil while the logs are healthy (or absent).
 func (s *Server) walError() error {
-	switch {
-	case s.m != nil:
-		return s.m.WALError()
-	case s.pool != nil:
-		return s.pool.WALError()
+	if s.pool == nil {
+		return nil
 	}
-	return nil
+	return s.pool.WALError()
 }
 
 // --- Writer side --------------------------------------------------------
 
 // writer is the single mutation applier: it owns every call into the
-// Maintainer. Batches amortize snapshot publication; see apply. When
+// pool. Batches amortize snapshot publication; see apply. When
 // fault injection is configured, the writer honors the hold and
 // batch-delay knobs here, between receiving a batch's first op and
 // applying it — never during the shutdown flush.
@@ -510,8 +398,8 @@ func (s *Server) apply(batch []op) {
 		if len(pendingRatings) == 0 {
 			return
 		}
-		err := s.w.Rebuild(nil)
-		version := s.w.Version()
+		err := s.pool.Rebuild(nil)
+		version := s.pool.Version()
 		for _, o := range pendingRatings {
 			reply(o, opResult{version: version, err: err})
 		}
@@ -528,8 +416,8 @@ func (s *Server) apply(batch []op) {
 			for k := i; k < j; k++ {
 				profiles[k-i] = batch[k].profile
 			}
-			ids, err := s.w.InsertBatch(profiles)
-			version := s.w.Version()
+			ids, err := s.pool.InsertBatch(profiles)
+			version := s.pool.Version()
 			for k := i; k < j; k++ {
 				if k-i < len(ids) {
 					reply(batch[k], opResult{id: ids[k-i], version: version})
@@ -545,7 +433,7 @@ func (s *Server) apply(batch []op) {
 			// half-applied (AddRating's only failure mode is an
 			// out-of-range user).
 			var err error
-			n := uint32(s.w.NumUsers())
+			n := uint32(s.pool.NumUsers())
 			for _, rt := range batch[i].ratings {
 				if rt.User >= n {
 					err = fmt.Errorf("user %d out of range (have %d users)", rt.User, n)
@@ -554,7 +442,7 @@ func (s *Server) apply(batch []op) {
 			}
 			if err == nil {
 				for _, rt := range batch[i].ratings {
-					if err = s.w.AddRating(rt.User, rt.Item, rt.Rating); err != nil {
+					if err = s.pool.AddRating(rt.User, rt.Item, rt.Rating); err != nil {
 						break
 					}
 					applied++
@@ -571,7 +459,7 @@ func (s *Server) apply(batch []op) {
 		case opCheckpoint:
 			flushRatings()
 			dir, err := s.checkpoint()
-			reply(batch[i], opResult{dir: dir, version: s.w.Version(), err: err})
+			reply(batch[i], opResult{dir: dir, version: s.pool.Version(), err: err})
 			i++
 		}
 	}
@@ -588,16 +476,10 @@ func (s *Server) apply(batch []op) {
 	for _, pr := range replies {
 		pr.ch <- pr.res
 	}
-	if s.m != nil {
-		run := s.m.Stats()
-		s.maintainStats.Store(&run)
-	}
-	counters := s.w.Counters()
-	s.maintainCounters.Store(&counters)
 	s.metrics.batches.Inc()
 	s.metrics.batchSize.Observe(float64(len(batch)))
 	s.cfg.Logf("server: applied batch of %d ops (%d mutations), version %d",
-		len(batch), applied, s.w.Version())
+		len(batch), applied, s.pool.Version())
 }
 
 // enqueue funnels one mutation to the writer, blocking while the queue is
@@ -632,7 +514,7 @@ func (s *Server) enqueue(r *http.Request, o op) opResult {
 }
 
 var (
-	errReadOnly  = errors.New("server: read-only (started from a static snapshot)")
+	errReadOnly  = errors.New("server: read-only (started from a static view)")
 	errQueueWait = errors.New("server: request canceled while waiting for the write queue")
 )
 
@@ -683,31 +565,24 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"rejected":          s.rejected.Load(),
 	}
 	if s.pool != nil {
+		// Cumulative maintenance counters, summed over shards: what
+		// serving-time freshness has cost so far — similarity
+		// evaluations, refinement iterations and wall time, inserted
+		// users, rebuild passes and the users they refreshed.
+		c := s.pool.Counters()
 		resp["shards"] = shardStatsJSON(s.pool.ShardStats())
-	}
-	maintain := map[string]any{}
-	if run := s.maintainStats.Load(); run != nil {
-		maintain["sim_evals"] = run.SimEvals
-		maintain["iterations"] = run.Iterations
-		maintain["wall_ns"] = run.WallTime.Nanoseconds()
-	}
-	// Cumulative maintenance counters: what serving-time freshness has
-	// cost so far — inserted users, rebuild passes, users refreshed by
-	// them. In pool mode these aggregate the per-shard counters (and
-	// sim_evals comes from the same aggregate; there is no pool-wide wall
-	// clock, the shards mutate in parallel).
-	if c := s.maintainCounters.Load(); c != nil {
-		if s.pool != nil {
-			maintain["sim_evals"] = c.SimEvals
+		resp["maintain"] = map[string]any{
+			"sim_evals":     c.SimEvals,
+			"iterations":    c.Iterations,
+			"wall_ns":       c.WallNs,
+			"inserts":       c.Inserts,
+			"rebuilds":      c.Rebuilds,
+			"rebuilt_users": c.RebuiltUsers,
 		}
-		maintain["inserts"] = c.Inserts
-		maintain["rebuilds"] = c.Rebuilds
-		maintain["rebuilt_users"] = c.RebuiltUsers
-		// Publication cost: how many snapshots the writer published and
+		// Publication cost: how many snapshots the shards published and
 		// the copy-on-write page accounting — pages rebuilt because they
 		// held dirty rows versus pages shared with the previous snapshot.
-		// A healthy incremental workload is dominated by shared pages. In
-		// pool mode the pages and publications sum over shards and
+		// A healthy incremental workload is dominated by shared pages.
 		// last_publish_ns is the slowest shard's most recent publish.
 		resp["publish"] = map[string]any{
 			"publications":    c.Publishes,
@@ -717,15 +592,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"last_publish_ns": c.LastPublishNs,
 		}
 	}
-	if len(maintain) > 0 {
-		resp["maintain"] = maintain
-	}
 	if s.walAttached() {
 		// Durability cost and progress: appends (and their bytes) since
 		// boot, fsyncs issued, records replayed at startup, torn-tail
-		// bytes discarded by recovery, and the current LSN horizon. In
-		// pool mode these sum over the per-shard logs.
-		c := s.walCounters()
+		// bytes discarded by recovery, and the current LSN horizon, summed
+		// over the per-shard logs.
+		c := s.pool.WALCounters()
 		walBlock := map[string]any{
 			"appended":        c.Appended,
 			"appended_bytes":  c.AppendedBytes,
@@ -795,8 +667,8 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	}
 	nbs, err := src.Neighbors(uint32(u))
 	if err != nil {
-		// Pool mode: an accepted-but-unpublished user (mid-insert) is a
-		// retryable miss, not a client error.
+		// An accepted-but-unpublished user (mid-insert) is a retryable
+		// miss, not a client error.
 		httpError(w, http.StatusNotFound, err)
 		return
 	}
@@ -891,7 +763,7 @@ type scoredItem struct {
 // result, restricted to items the query profile does not already hold.
 // Scores accumulate in neighbor order, then profile order, and the best k
 // are kept in a bounded top-k (score desc, ID asc).
-func recommendItems(src source, profile kiff.Profile, nbs []kiff.Neighbor, k int) []scoredItem {
+func recommendItems(src *shard.View, profile kiff.Profile, nbs []kiff.Neighbor, k int) []scoredItem {
 	// The neighbors' items bound the accumulator; the request's own item
 	// IDs, however large, do not.
 	domain := 0

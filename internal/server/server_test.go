@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"kiff"
+	"kiff/internal/shard"
 )
 
 // buildCheckpoint constructs a small graph over a synthetic dataset and
@@ -36,6 +37,26 @@ func buildCheckpoint(t *testing.T, k int) (gpath, dpath string) {
 		t.Fatal(err)
 	}
 	return gpath, dpath
+}
+
+// onePool wraps m as the one-shard pool a mutable server serves.
+func onePool(t testing.TB, m *kiff.Maintainer) *kiff.ShardedMaintainer {
+	t.Helper()
+	p, err := kiff.OneShardPool(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// staticView pins a read-only one-shard View over snap.
+func staticView(t testing.TB, snap *kiff.Snapshot) *shard.View {
+	t.Helper()
+	v, err := shard.NewView([]shard.Reader{snap}, snap.NumUsers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 func getJSON(t *testing.T, url string, out any) {
@@ -98,7 +119,7 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := New(Config{Maintainer: m, QueryBudget: 2 * k, MaxBatch: 8, QueueDepth: 32, Logf: t.Logf})
+	srv, err := New(Config{Pool: onePool(t, m), QueryBudget: 2 * k, MaxBatch: 8, QueueDepth: 32, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +205,8 @@ func TestServerEndToEnd(t *testing.T) {
 		Queries  int64  `json:"queries"`
 		Maintain *struct {
 			SimEvals     int64 `json:"sim_evals"`
+			Iterations   int64 `json:"iterations"`
+			WallNs       int64 `json:"wall_ns"`
 			Inserts      int64 `json:"inserts"`
 			Rebuilds     int64 `json:"rebuilds"`
 			RebuiltUsers int64 `json:"rebuilt_users"`
@@ -192,6 +215,9 @@ func TestServerEndToEnd(t *testing.T) {
 	getJSON(t, ts.URL+"/stats", &stats)
 	if stats.ReadOnly || stats.Version < 2 || stats.Queries == 0 || stats.Maintain == nil || stats.Maintain.SimEvals == 0 {
 		t.Fatalf("stats = %+v", stats)
+	}
+	if stats.Maintain.Iterations == 0 || stats.Maintain.WallNs == 0 {
+		t.Fatalf("maintain iterations/wall_ns = %+v, want both counted", *stats.Maintain)
 	}
 	// The maintenance counters must reflect the applied mutations: every
 	// insert counted, at least one rebuild pass over at least as many
@@ -240,7 +266,7 @@ func TestServerMappedHeapIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := New(Config{Static: snap, QueryBudget: 2 * k})
+		srv, err := New(Config{Static: staticView(t, snap), QueryBudget: 2 * k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +340,7 @@ func TestServerReadOnlyAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Static: snap})
+	srv, err := New(Config{Static: staticView(t, snap)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +390,7 @@ func TestServerReadOnlyAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msrv, err := New(Config{Maintainer: m})
+	msrv, err := New(Config{Pool: onePool(t, m)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +424,7 @@ func TestServerRatingsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Maintainer: m})
+	srv, err := New(Config{Pool: onePool(t, m)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +489,7 @@ func TestServerEmptyRatingsBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Maintainer: m})
+	srv, err := New(Config{Pool: onePool(t, m)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +520,7 @@ func TestServerShardedPool(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ssrv, err := New(Config{Maintainer: single})
+	ssrv, err := New(Config{Pool: onePool(t, single)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -642,14 +668,10 @@ func TestServerShardedPool(t *testing.T) {
 	}
 }
 
-// TestServerConfigExclusive: the three serving sources are mutually
+// TestServerConfigExclusive: the two serving sources are mutually
 // exclusive.
 func TestServerConfigExclusive(t *testing.T) {
 	d, err := kiff.GeneratePreset("wikipedia", 0.01, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := kiff.NewMaintainer(d, kiff.Options{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -657,8 +679,8 @@ func TestServerConfigExclusive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{Maintainer: m, Pool: pool}); err == nil {
-		t.Error("Maintainer+Pool must be rejected")
+	if _, err := New(Config{Pool: pool, Static: pool.View()}); err == nil {
+		t.Error("Pool+Static must be rejected")
 	}
 	if _, err := New(Config{}); err == nil {
 		t.Error("empty config must be rejected")

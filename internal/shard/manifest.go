@@ -8,6 +8,7 @@ import (
 
 	"kiff/internal/dataset"
 	"kiff/internal/fsio"
+	"kiff/internal/parallel"
 )
 
 // ManifestSchema identifies the sharded-checkpoint manifest format.
@@ -166,10 +167,63 @@ func saveShard(dir string, i int, sl *slot, persist func(string, func(*os.File) 
 	})
 }
 
-// ReadManifest loads and validates a checkpoint directory's manifest.
-// Callers (kiff.LoadShardedMaintainer) load the per-shard files it
-// names and hand the rebuilt maintainers to NewPool, which re-derives
-// and re-verifies the user→shard assignment.
+// Load assembles a pool from a checkpoint directory written by Save:
+// the manifest is validated, open rebuilds each shard's maintainer from
+// its graph and dataset files (in parallel across shards), and NewPool
+// re-derives and cross-checks the user→shard assignment. The pool
+// remembers the manifest's wal_lsns as the horizons OpenWAL replays
+// above.
+func Load(dir string, open func(gpath, dpath string) (Maintainer, error)) (*Pool, error) {
+	man, ms, err := loadShards(dir, open)
+	if err != nil {
+		return nil, err
+	}
+	p, err := NewPool(ms, man.Users)
+	if err != nil {
+		return nil, err
+	}
+	p.walFrom = man.WalLSNs
+	return p, nil
+}
+
+// LoadView is Load for read-only serving: open builds each shard's
+// Reader straight from its files, and the result is a View pinned over
+// them (NewView) — no maintainer, no writer.
+func LoadView(dir string, open func(gpath, dpath string) (Reader, error)) (*View, error) {
+	man, rs, err := loadShards(dir, open)
+	if err != nil {
+		return nil, err
+	}
+	return NewView(rs, man.Users)
+}
+
+// loadShards validates dir's manifest and runs open over every shard's
+// file pair in parallel.
+func loadShards[T any](dir string, open func(gpath, dpath string) (T, error)) (Manifest, []T, error) {
+	man, err := ReadManifest(dir)
+	if err != nil {
+		return man, nil, err
+	}
+	out := make([]T, man.Shards)
+	g := parallel.NewGroup(man.Shards)
+	for i := range out {
+		g.Go(func() error {
+			v, err := open(filepath.Join(dir, GraphFile(i)), filepath.Join(dir, DataFile(i)))
+			if err != nil {
+				return fmt.Errorf("shard: load shard %d: %w", i, err)
+			}
+			out[i] = v
+			return nil
+		})
+	}
+	if err := g.Wait(); err != nil {
+		return man, nil, err
+	}
+	return man, out, nil
+}
+
+// ReadManifest loads and validates a checkpoint directory's manifest
+// (Load and LoadView start here).
 func ReadManifest(dir string) (Manifest, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, ManifestFile))
 	if err != nil {

@@ -29,6 +29,11 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -99,12 +104,15 @@ type Maintainer interface {
 }
 
 // WALMaintainer is the optional durability extension of Maintainer: a
-// shard whose maintainer write-ahead-logs its mutations (kiff.Maintainer
-// with an attached log implements it). Save uses it to record each
-// shard's log horizon in the manifest and to rotate the logs once the
-// checkpoint is durably complete — either every shard logs or none; a
-// mixed pool is a configuration error Save rejects.
+// shard whose maintainer can write-ahead-log its mutations
+// (kiff.Maintainer implements it). OpenWAL attaches the logs; Save uses
+// them to record each shard's log horizon in the manifest and to rotate
+// the logs once the checkpoint is durably complete — either every shard
+// logs or none; a mixed pool is a configuration error Save rejects.
 type WALMaintainer interface {
+	// OpenWAL opens (creating if absent) the log at path, replays the
+	// records above opts.FromLSN onto the maintainer, and attaches it.
+	OpenWAL(path string, opts wal.Options) (wal.ReplayStats, error)
 	// WALAttached reports whether a write-ahead log is attached.
 	WALAttached() bool
 	// WALLastLSN is the shard-local LSN of the last logged mutation.
@@ -121,8 +129,8 @@ type WALMaintainer interface {
 }
 
 // WALAttached reports whether every shard write-ahead-logs its
-// mutations. Mixed pools are rejected at Save; a pool assembled by the
-// WAL-aware constructors is always all-or-nothing.
+// mutations. Mixed pools are rejected at Save; OpenWAL attaches every
+// shard's log or fails.
 func (p *Pool) WALAttached() bool {
 	for _, sl := range p.shards {
 		wm, ok := sl.m.(WALMaintainer)
@@ -165,6 +173,105 @@ func (p *Pool) WALError() error {
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// OpenWAL attaches a write-ahead log to every shard — the one attach
+// path of a logged pool, whatever it was constructed from. Shard i's log
+// is WalFile(i) under dir, created if absent; the shards open their logs
+// and replay the records above their horizon in parallel. The horizon is
+// the wal_lsns of the checkpoint the pool was loaded from (Load), or the
+// start of the log for a pool built any other way (a cold build is
+// deterministic in its input, so replaying a whole log on top of it
+// reproduces the pre-crash state).
+//
+// Replayed inserts grow the shards behind the pool's back, so OpenWAL
+// then re-derives the user→shard mapping over the grown population and
+// cross-checks every shard against it, as NewPool does: logs that do not
+// belong to this pool fail here instead of serving. Logs written under
+// another shard count carry another partition's local IDs, so dir must
+// not hold a single-log wal.kfl or any wal.<i>.kfl with i ≥ NumShards;
+// OpenWAL refuses such a directory before opening anything. On any error
+// the pool must be discarded.
+func (p *Pool) OpenWAL(dir string, opts wal.Options) (wal.ReplayStats, error) {
+	if err := checkWALDir(dir, len(p.shards)); err != nil {
+		return wal.ReplayStats{}, err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	stats := make([]wal.ReplayStats, len(p.shards))
+	errs := make([]error, len(p.shards))
+	parallel.For(len(p.shards), len(p.shards), func(_, i int) {
+		sl := p.shards[i]
+		wm, ok := sl.m.(WALMaintainer)
+		if !ok {
+			errs[i] = fmt.Errorf("shard %d: maintainer cannot write-ahead-log", i)
+			return
+		}
+		so := opts
+		so.FromLSN = 0
+		if p.walFrom != nil {
+			so.FromLSN = p.walFrom[i]
+		}
+		sl.mu.Lock()
+		defer sl.mu.Unlock()
+		st, err := wm.OpenWAL(filepath.Join(dir, WalFile(i)), so)
+		if err != nil {
+			errs[i] = fmt.Errorf("shard %d: %w", i, err)
+			return
+		}
+		stats[i] = st
+		sl.refreshStats(i)
+	})
+	if err := errors.Join(errs...); err != nil {
+		return wal.ReplayStats{}, fmt.Errorf("shard: open wal: %w", err)
+	}
+	var total wal.ReplayStats
+	users := 0
+	rs := make([]Reader, len(p.shards))
+	for i, sl := range p.shards {
+		rs[i] = sl.m.Reader()
+		users += rs[i].NumUsers()
+		total.Replayed += stats[i].Replayed
+		total.ReplayedInserts += stats[i].ReplayedInserts
+		total.Skipped += stats[i].Skipped
+		total.TruncatedBytes += stats[i].TruncatedBytes
+	}
+	m, _, err := partition(rs, users)
+	if err != nil {
+		return total, fmt.Errorf("shard: open wal: %w", err)
+	}
+	p.mapping.Store(m)
+	return total, nil
+}
+
+// walFileRe matches the per-shard log names WalFile produces.
+var walFileRe = regexp.MustCompile(`^wal\.(\d+)\.kfl$`)
+
+// checkWALDir refuses a log directory holding logs that were not
+// written by an n-shard pool: the single-log wal.kfl of older releases,
+// or a wal.<i>.kfl with i ≥ n.
+func checkWALDir(dir string, n int) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("shard: open wal: %w", err)
+	}
+	var foreign []string
+	for _, e := range entries {
+		name := e.Name()
+		if name == "wal.kfl" {
+			foreign = append(foreign, name)
+		} else if m := walFileRe.FindStringSubmatch(name); m != nil {
+			if i, err := strconv.Atoi(m[1]); err != nil || i >= n {
+				foreign = append(foreign, name)
+			}
+		}
+	}
+	if len(foreign) > 0 {
+		slices.Sort(foreign)
+		return fmt.Errorf("shard: open wal: %s holds %v, written under a different shard count than this %d-shard pool (see the migration steps in docs/OPERATIONS.md)",
+			dir, foreign, n)
+	}
+	return nil
 }
 
 // CloseWAL syncs and closes every shard's log under its shard lock —
@@ -255,6 +362,9 @@ func (s *slot) refreshStats(i int) {
 type Pool struct {
 	k      int
 	shards []*slot
+	// walFrom holds the per-shard log horizons of the checkpoint the pool
+	// was loaded from (nil: replay whole logs); read by OpenWAL.
+	walFrom []uint64
 
 	// mu serializes global ID assignment and mapping publication. Lock
 	// order is always pool → shard; no path acquires mu while holding a
@@ -278,13 +388,35 @@ var ErrNotFound = errors.New("shard: no such user")
 // match it, which is how a corrupt or mixed-up checkpoint fails fast
 // instead of serving misrouted answers. All shards must agree on k.
 func NewPool(ms []Maintainer, numUsers int) (*Pool, error) {
-	if len(ms) < 1 || len(ms) > MaxShards {
-		return nil, fmt.Errorf("shard: pool needs 1..%d shards, got %d", MaxShards, len(ms))
+	rs := make([]Reader, len(ms))
+	for i, sm := range ms {
+		rs[i] = sm.Reader()
+	}
+	m, k, err := partition(rs, numUsers)
+	if err != nil {
+		return nil, err
+	}
+	p := &Pool{k: k, shards: make([]*slot, len(ms))}
+	for i, sm := range ms {
+		p.shards[i] = &slot{m: sm}
+		p.shards[i].refreshStats(i)
+	}
+	p.mapping.Store(m)
+	return p, nil
+}
+
+// partition derives the Owner assignment of numUsers global IDs over
+// len(rs) shards and checks every shard's population and k against it —
+// the contract NewPool, NewView and OpenWAL share. It returns the
+// mapping and the common k.
+func partition(rs []Reader, numUsers int) (*mapping, int, error) {
+	n := len(rs)
+	if n < 1 || n > MaxShards {
+		return nil, 0, fmt.Errorf("shard: pool needs 1..%d shards, got %d", MaxShards, n)
 	}
 	if numUsers < 0 {
-		return nil, fmt.Errorf("shard: negative user count %d", numUsers)
+		return nil, 0, fmt.Errorf("shard: negative user count %d", numUsers)
 	}
-	n := len(ms)
 	m := &mapping{
 		owner:  make([]uint16, numUsers),
 		local:  make([]uint32, numUsers),
@@ -296,23 +428,17 @@ func NewPool(ms []Maintainer, numUsers int) (*Pool, error) {
 		m.local[g] = uint32(len(m.global[s]))
 		m.global[s] = append(m.global[s], uint32(g))
 	}
-	p := &Pool{shards: make([]*slot, n)}
-	for i, sm := range ms {
-		r := sm.Reader()
+	k := rs[0].K()
+	for i, r := range rs {
 		if r.NumUsers() != len(m.global[i]) {
-			return nil, fmt.Errorf("shard: shard %d holds %d users, the %d-user/%d-shard partition owns %d (checkpoint from a different population?)",
+			return nil, 0, fmt.Errorf("shard: shard %d holds %d users, the %d-user/%d-shard partition owns %d (checkpoint from a different population?)",
 				i, r.NumUsers(), numUsers, n, len(m.global[i]))
 		}
-		if i == 0 {
-			p.k = r.K()
-		} else if r.K() != p.k {
-			return nil, fmt.Errorf("shard: shard %d has k = %d, shard 0 has k = %d", i, r.K(), p.k)
+		if r.K() != k {
+			return nil, 0, fmt.Errorf("shard: shard %d has k = %d, shard 0 has k = %d", i, r.K(), k)
 		}
-		p.shards[i] = &slot{m: sm}
-		p.shards[i].refreshStats(i)
 	}
-	p.mapping.Store(m)
-	return p, nil
+	return m, k, nil
 }
 
 // NumShards returns the shard count.

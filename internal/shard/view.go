@@ -3,6 +3,7 @@ package shard
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"sync"
 
 	"kiff/internal/knngraph"
@@ -25,6 +26,18 @@ type View struct {
 	k     int
 	m     *mapping
 	snaps []Reader
+}
+
+// NewView pins a View over fixed per-shard readers — the serving source
+// of a server without a writer, such as snapshots loaded straight from a
+// checkpoint (LoadView). The readers must partition numUsers global IDs
+// exactly as NewPool requires of its maintainers.
+func NewView(rs []Reader, numUsers int) (*View, error) {
+	m, k, err := partition(rs, numUsers)
+	if err != nil {
+		return nil, err
+	}
+	return &View{k: k, m: m, snaps: rs}, nil
 }
 
 // View pins the current mapping and every shard's current snapshot.
@@ -70,6 +83,7 @@ func (v *View) route(g uint32) (s int, local uint32, err error) {
 // keeps the canonical (sim desc, global ID asc) order, because local ID
 // order within a shard is global ID order. Neighbors whose IDs the
 // pinned mapping does not cover yet (concurrent inserts) are dropped.
+// The list may be the shard snapshot's own row: treat it as read-only.
 func (v *View) Neighbors(g uint32) ([]knngraph.Neighbor, error) {
 	s, local, err := v.route(g)
 	if err != nil {
@@ -77,6 +91,10 @@ func (v *View) Neighbors(g uint32) ([]knngraph.Neighbor, error) {
 	}
 	glob := v.m.global[s]
 	nbs := v.snaps[s].Neighbors(local)
+	if len(v.snaps) == 1 && !slices.ContainsFunc(nbs, func(nb knngraph.Neighbor) bool { return int(nb.ID) >= len(glob) }) {
+		// One shard owns every user, so its local IDs are the global IDs.
+		return nbs, nil
+	}
 	out := make([]knngraph.Neighbor, 0, len(nbs))
 	for _, nb := range nbs {
 		if int(nb.ID) < len(glob) {
@@ -111,8 +129,13 @@ func (v *View) Profile(g uint32) (sparse.Vector, bool) {
 // its own shard's top-k, so the spliced result is identical, entry for
 // entry, to the single-maintainer answer. A non-negative budget is
 // applied per shard (up to N× the single-index evaluation spend, never
-// fewer candidates than any one shard would see).
+// fewer candidates than any one shard would see). A one-shard view has
+// nothing to fan out or merge: its shard answers on the caller's
+// goroutine.
 func (v *View) Query(profile sparse.Vector, k, budget int) ([]knngraph.Neighbor, error) {
+	if len(v.snaps) == 1 {
+		return v.shardQuery(0, profile, k, budget)
+	}
 	lists := make([][]knngraph.Neighbor, len(v.snaps))
 	errs := make([]error, len(v.snaps))
 	var wg sync.WaitGroup
@@ -120,20 +143,7 @@ func (v *View) Query(profile sparse.Vector, k, budget int) ([]knngraph.Neighbor,
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			res, err := v.snaps[s].Query(profile, k, budget)
-			if err != nil {
-				errs[s] = err
-				return
-			}
-			// Relabel in place: the shard's answer is a fresh slice.
-			glob := v.m.global[s]
-			out := res[:0]
-			for _, nb := range res {
-				if int(nb.ID) < len(glob) {
-					out = append(out, knngraph.Neighbor{ID: glob[nb.ID], Sim: nb.Sim})
-				}
-			}
-			lists[s] = out
+			lists[s], errs[s] = v.shardQuery(s, profile, k, budget)
 		}(s)
 	}
 	wg.Wait()
@@ -145,6 +155,23 @@ func (v *View) Query(profile sparse.Vector, k, budget int) ([]knngraph.Neighbor,
 		}
 	}
 	return MergeTopK(lists, k), nil
+}
+
+// shardQuery runs the query on shard s and relabels its answer to global
+// IDs in place (the shard's answer is a fresh slice).
+func (v *View) shardQuery(s int, profile sparse.Vector, k, budget int) ([]knngraph.Neighbor, error) {
+	res, err := v.snaps[s].Query(profile, k, budget)
+	if err != nil {
+		return nil, err
+	}
+	glob := v.m.global[s]
+	out := res[:0]
+	for _, nb := range res {
+		if int(nb.ID) < len(glob) {
+			out = append(out, knngraph.Neighbor{ID: glob[nb.ID], Sim: nb.Sim})
+		}
+	}
+	return out, nil
 }
 
 // mergeHeap is a min-heap of non-empty neighbor lists, ordered by their

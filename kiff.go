@@ -49,7 +49,9 @@
 // owner and run in parallel per shard, exact profile queries scatter to
 // every shard and gather into the same top-k a single Maintainer would
 // return, and the whole pool persists as per-shard checkpoints plus a
-// manifest. See ShardedMaintainer.
+// manifest, with one write-ahead log per shard. A one-shard pool
+// (OneShardPool) is how a single Maintainer is served. See
+// ShardedMaintainer.
 package kiff
 
 import (

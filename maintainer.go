@@ -642,6 +642,8 @@ func (m *Maintainer) Counters() Counters {
 		Inserts:       m.inserts,
 		Rebuilds:      m.rebuilds,
 		RebuiltUsers:  m.rebuiltUsers,
+		Iterations:    int64(m.run.Iterations),
+		WallNs:        m.run.WallTime.Nanoseconds(),
 		Publishes:     m.publishes,
 		PagesCopied:   m.pagesCopied,
 		PagesShared:   m.pagesShared,

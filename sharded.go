@@ -2,12 +2,10 @@ package kiff
 
 import (
 	"fmt"
-	"path/filepath"
 
 	"kiff/internal/dataset"
 	"kiff/internal/parallel"
 	"kiff/internal/shard"
-	"kiff/internal/wal"
 )
 
 // ShardedMaintainer hash-partitions the user population across N
@@ -24,7 +22,13 @@ import (
 // by owner and run in parallel across shards, so insert- and
 // rebuild-heavy workloads scale with the shard count instead of
 // serializing through one writer. Save/LoadShardedMaintainer persist and
-// recover the pool as per-shard checkpoints plus a manifest.
+// recover the pool as per-shard checkpoints plus a manifest, and OpenWAL
+// attaches one write-ahead log per shard.
+//
+// A one-shard pool is a Maintainer behind the trivial partition: it
+// serves exactly the Maintainer's graph and answers, its reads run on
+// the caller's goroutine, and it owns the Maintainer's dataset (see
+// OneShardPool).
 type ShardedMaintainer = shard.Pool
 
 // maintainerShard adapts *Maintainer to the pool's per-shard interface;
@@ -34,18 +38,35 @@ type maintainerShard struct{ *Maintainer }
 
 func (s maintainerShard) Reader() shard.Reader { return s.Snapshot() }
 
+// OneShardPool wraps an existing Maintainer as a one-shard pool, so code
+// written against the pool serves an unsharded graph unchanged. The pool
+// takes over the Maintainer's write side: mutate it only through the
+// pool from here on.
+func OneShardPool(m *Maintainer) (*ShardedMaintainer, error) {
+	return shard.NewPool([]shard.Maintainer{maintainerShard{m}}, m.Dataset().NumUsers())
+}
+
 // NewShardedMaintainer partitions the dataset's users across shards
 // independent Maintainers (stable hash of the user ID; see shard.Owner)
 // and cold-builds each shard's KIFF graph in parallel. Options applies
-// to every shard as in NewMaintainer. The input dataset is not retained:
-// each shard compacts its partition onto its own arenas, so d remains
-// usable (read-only) by the caller.
+// to every shard as in NewMaintainer. With several shards the input
+// dataset is not retained: each shard compacts its partition onto its
+// own arenas, so d remains usable (read-only) by the caller. One shard
+// owns every user, so a one-shard pool adopts d instead of copying it —
+// it retains and mutates d exactly as NewMaintainer does.
 //
 // Global user IDs are the dataset's user IDs; IDs assigned by later
 // Insert/InsertBatch calls continue the same sequence.
 func NewShardedMaintainer(d *Dataset, shards int, opts Options) (*ShardedMaintainer, error) {
 	if shards < 1 || shards > shard.MaxShards {
 		return nil, fmt.Errorf("kiff: sharded maintainer needs 1..%d shards, got %d", shard.MaxShards, shards)
+	}
+	if shards == 1 {
+		m, err := NewMaintainer(d, opts)
+		if err != nil {
+			return nil, err
+		}
+		return OneShardPool(m)
 	}
 	profiles := make([][]Profile, shards)
 	for g, p := range d.Users {
@@ -82,18 +103,10 @@ func NewShardedMaintainer(d *Dataset, shards int, opts Options) (*ShardedMaintai
 // shard as in NewMaintainerFromGraph — in particular K = 0 adopts the
 // checkpoint's k, and Metric must match the metric the graphs were
 // maintained under for the resumed similarities to stay meaningful.
+// The pool's OpenWAL replays each shard's log above the horizon the
+// manifest recorded.
 func LoadShardedMaintainer(dir string, opts Options) (*ShardedMaintainer, error) {
-	return loadSharded(dir, opts, func(gpath, dpath string, opts Options) (*Maintainer, error) {
-		g, err := LoadGraph(gpath)
-		if err != nil {
-			return nil, err
-		}
-		ds, err := LoadDataset(dpath)
-		if err != nil {
-			return nil, err
-		}
-		return NewMaintainerFromGraph(ds, g, opts)
-	})
+	return loadShardedMaintainer(dir, opts, false)
 }
 
 // LoadShardedMaintainerMapped is LoadShardedMaintainer over the
@@ -101,170 +114,70 @@ func LoadShardedMaintainer(dir string, opts Options) (*ShardedMaintainer, error)
 // (LoadGraphMapped, LoadDatasetMapped). The graph mappings are closed
 // once their heaps are seeded; the dataset mappings back the live
 // datasets and stay mapped for the life of the process — the cold-start
-// mode of a long-lived sharded server (kiffserve -pool honors -mmap
-// through this).
+// mode of a long-lived server (kiffserve -pool honors -mmap through
+// this).
 func LoadShardedMaintainerMapped(dir string, opts Options) (*ShardedMaintainer, error) {
-	return loadSharded(dir, opts, func(gpath, dpath string, opts Options) (*Maintainer, error) {
-		mg, err := LoadGraphMapped(gpath)
+	return loadShardedMaintainer(dir, opts, true)
+}
+
+func loadShardedMaintainer(dir string, opts Options, mapped bool) (*ShardedMaintainer, error) {
+	return shard.Load(dir, func(gpath, dpath string) (shard.Maintainer, error) {
+		g, d, closeGraph, err := loadPair(gpath, dpath, mapped)
 		if err != nil {
 			return nil, err
 		}
-		md, err := LoadDatasetMapped(dpath)
-		if err != nil {
-			mg.Close()
-			return nil, err
-		}
-		m, err := NewMaintainerFromGraph(md.Dataset(), mg.Graph(), opts)
-		// Seeding reads the graph once; its mapping can go. The dataset
-		// mapping must outlive the maintainer and is intentionally left
-		// open (reclaimed at process exit).
-		if cerr := mg.Close(); err == nil && cerr != nil {
+		m, err := NewMaintainerFromGraph(d, g, opts)
+		// Seeding reads the graph once; its mapping can go.
+		if cerr := closeGraph(); err == nil && cerr != nil {
 			return nil, cerr
 		}
-		return m, err
+		if err != nil {
+			return nil, err
+		}
+		return maintainerShard{m}, nil
 	})
 }
 
-// NewShardedMaintainerWAL is NewShardedMaintainer plus per-shard
-// write-ahead logging: after each shard's cold build, its log
-// (shard.WalFile(i) under walDir) is opened — replaying any surviving
-// records on top of the build — and attached, so every subsequent pool
-// mutation is logged before it is applied. The cold build itself is not
-// logged: it is deterministic in the input dataset, so a restart before
-// the first checkpoint re-builds from the same input and replays the
-// log on top, converging on the pre-crash state. opts.Sync and
-// SyncInterval follow wal.Options; FromLSN must be zero (there is no
-// checkpoint to resume from — use LoadShardedMaintainerWAL for that).
-func NewShardedMaintainerWAL(d *Dataset, shards int, opts Options, walDir string, wopts wal.Options) (*ShardedMaintainer, error) {
-	if wopts.FromLSN != 0 {
-		return nil, fmt.Errorf("kiff: sharded maintainer: FromLSN %d without a checkpoint", wopts.FromLSN)
-	}
-	if shards < 1 || shards > shard.MaxShards {
-		return nil, fmt.Errorf("kiff: sharded maintainer needs 1..%d shards, got %d", shard.MaxShards, shards)
-	}
-	profiles := make([][]Profile, shards)
-	for g, p := range d.Users {
-		s := shard.Owner(uint32(g), shards)
-		profiles[s] = append(profiles[s], p)
-	}
-	ms := make([]shard.Maintainer, shards)
-	replayedInserts := make([]int, shards)
-	g := parallel.NewGroup(shards)
-	for s := 0; s < shards; s++ {
-		g.Go(func() error {
-			sd, err := dataset.New(shardName(d.Name, s, shards), profiles[s], d.NumItems())
-			if err != nil {
-				return fmt.Errorf("kiff: sharded maintainer: shard %d: %w", s, err)
-			}
-			sd.EnsureItemProfiles()
-			m, err := NewMaintainer(sd, opts)
-			if err != nil {
-				return fmt.Errorf("kiff: sharded maintainer: shard %d: %w", s, err)
-			}
-			st, err := m.OpenWAL(filepath.Join(walDir, shard.WalFile(s)), wopts)
-			if err != nil {
-				return fmt.Errorf("kiff: sharded maintainer: shard %d: %w", s, err)
-			}
-			replayedInserts[s] = st.ReplayedInserts
-			ms[s] = maintainerShard{m}
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		return nil, err
-	}
-	users := d.NumUsers()
-	for _, r := range replayedInserts {
-		users += r
-	}
-	// NewPool re-derives the user→shard partition over the grown
-	// population and cross-checks every shard against it, so replayed
-	// logs that do not belong to this build fail here instead of serving.
-	return shard.NewPool(ms, users)
+// LoadShardedView serves a checkpoint directory written by
+// ShardedMaintainer.Save read-only: every shard's graph and dataset are
+// loaded (memory-mapped when mapped is set, and then never unmapped) and
+// wrapped in a static Snapshot (NewSnapshot), and the View is pinned
+// over them — no Maintainer, no writer. Options supplies the query
+// metric, as in NewSnapshot.
+func LoadShardedView(dir string, opts Options, mapped bool) (*shard.View, error) {
+	return shard.LoadView(dir, func(gpath, dpath string) (shard.Reader, error) {
+		g, d, _, err := loadPair(gpath, dpath, mapped)
+		if err != nil {
+			return nil, err
+		}
+		return NewSnapshot(g, d, opts)
+	})
 }
 
-// LoadShardedMaintainerWAL recovers a pool from a checkpoint directory
-// and replays each shard's write-ahead log (shard.WalFile(i) under
-// walDir) on top, in parallel across shards — the crash-recovery load
-// path. The manifest's wal_lsns give each shard its replay horizon
-// (records the checkpoint already covers are skipped); a manifest
-// without wal_lsns — a checkpoint saved before logging was enabled —
-// replays every record. wopts.FromLSN is ignored (the manifest owns the
-// horizons). Missing log files are created empty, so enabling -wal over
-// an existing checkpoint just works.
-func LoadShardedMaintainerWAL(dir, walDir string, opts Options, wopts wal.Options) (*ShardedMaintainer, error) {
-	man, err := shard.ReadManifest(dir)
+// loadPair loads one shard's graph and dataset files, through the heap
+// decoders or the file mappings. closeGraph releases the graph mapping
+// (a no-op for heap loads); the dataset mapping is never released — it
+// backs the dataset for the life of the process.
+func loadPair(gpath, dpath string, mapped bool) (g *Graph, d *Dataset, closeGraph func() error, err error) {
+	if !mapped {
+		if g, err = LoadGraph(gpath); err != nil {
+			return nil, nil, nil, err
+		}
+		if d, err = LoadDataset(dpath); err != nil {
+			return nil, nil, nil, err
+		}
+		return g, d, func() error { return nil }, nil
+	}
+	mg, err := LoadGraphMapped(gpath)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	lsns := man.WalLSNs
-	if lsns == nil {
-		lsns = make([]uint64, man.Shards)
-	}
-	ms := make([]shard.Maintainer, man.Shards)
-	replayedInserts := make([]int, man.Shards)
-	g := parallel.NewGroup(man.Shards)
-	for s := 0; s < man.Shards; s++ {
-		g.Go(func() error {
-			gr, err := LoadGraph(filepath.Join(dir, shard.GraphFile(s)))
-			if err != nil {
-				return fmt.Errorf("kiff: load sharded maintainer: shard %d: %w", s, err)
-			}
-			ds, err := LoadDataset(filepath.Join(dir, shard.DataFile(s)))
-			if err != nil {
-				return fmt.Errorf("kiff: load sharded maintainer: shard %d: %w", s, err)
-			}
-			m, err := NewMaintainerFromGraph(ds, gr, opts)
-			if err != nil {
-				return fmt.Errorf("kiff: load sharded maintainer: shard %d: %w", s, err)
-			}
-			so := wopts
-			so.FromLSN = lsns[s]
-			st, err := m.OpenWAL(filepath.Join(walDir, shard.WalFile(s)), so)
-			if err != nil {
-				return fmt.Errorf("kiff: load sharded maintainer: shard %d: %w", s, err)
-			}
-			replayedInserts[s] = st.ReplayedInserts
-			ms[s] = maintainerShard{m}
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		return nil, err
-	}
-	// Replayed inserts grew the shards past the manifest's population;
-	// NewPool's partition cross-check runs against the grown count.
-	users := man.Users
-	for _, r := range replayedInserts {
-		users += r
-	}
-	return shard.NewPool(ms, users)
-}
-
-// loadSharded is the shared recovery skeleton: manifest validation,
-// parallel per-shard loading via loadShard, pool assembly (which
-// re-derives and cross-checks the user→shard assignment).
-func loadSharded(dir string, opts Options, loadShard func(gpath, dpath string, opts Options) (*Maintainer, error)) (*ShardedMaintainer, error) {
-	man, err := shard.ReadManifest(dir)
+	md, err := LoadDatasetMapped(dpath)
 	if err != nil {
-		return nil, err
+		mg.Close()
+		return nil, nil, nil, err
 	}
-	ms := make([]shard.Maintainer, man.Shards)
-	g := parallel.NewGroup(man.Shards)
-	for s := 0; s < man.Shards; s++ {
-		g.Go(func() error {
-			m, err := loadShard(filepath.Join(dir, shard.GraphFile(s)), filepath.Join(dir, shard.DataFile(s)), opts)
-			if err != nil {
-				return fmt.Errorf("kiff: load sharded maintainer: shard %d: %w", s, err)
-			}
-			ms[s] = maintainerShard{m}
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		return nil, err
-	}
-	return shard.NewPool(ms, man.Users)
+	return mg.Graph(), md.Dataset(), mg.Close, nil
 }
 
 // shardName labels shard s's dataset partition.

@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"kiff/internal/dataset"
 	"kiff/internal/shard"
@@ -102,14 +104,20 @@ func TestShardedQueryMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestShardedSingleShardMatchesMaintainer checks the degenerate pool:
-// one shard must reproduce the single Maintainer exactly, including the
-// KNN graph served by Neighbors (no partition approximation applies).
+// TestShardedSingleShardMatchesMaintainer pins the one-shard pool — the
+// unsharded serving backend — to the Maintainer it wraps: over a seeded
+// Insert/AddRating/Rebuild stream applied to a Maintainer and to a
+// one-shard pool, each over its own copy of the data, both must publish
+// the same version and population, every neighbor list and profile, and
+// the same Query answers at every k and budget after every step. The
+// pool also adopts its dataset: the profiles it serves alias the input's
+// storage (no re-compacted copy).
 func TestShardedSingleShardMatchesMaintainer(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	d := randShardDataset(rng, 50)
+	profiles := randShardProfiles(rng, 50)
+	d := dataset.FromProfiles("shardrand", profiles, false)
 	opts := Options{K: 4}
-	single, err := NewMaintainer(d, opts)
+	single, err := NewMaintainer(dataset.FromProfiles("shardrand", profiles, false), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,22 +125,74 @@ func TestShardedSingleShardMatchesMaintainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := single.Graph()
-	v := pool.View()
-	for u := 0; u < d.NumUsers(); u++ {
-		want := g.Neighbors(uint32(u))
-		got, err := v.Neighbors(uint32(u))
-		if err != nil {
-			t.Fatalf("Neighbors(%d): %v", u, err)
+	for u := range d.Users {
+		got, ok := pool.View().Profile(uint32(u))
+		if !ok || len(got.IDs) == 0 || unsafe.SliceData(got.IDs) != unsafe.SliceData(d.Users[u].IDs) {
+			t.Fatalf("user %d: the pool serves a copy of the input profile, want the adopted row", u)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("user %d: %d neighbors, want %d", u, len(got), len(want))
+	}
+
+	queries := make([]Profile, 6)
+	for i := range queries {
+		queries[i] = ProfileFromMap(randQueryMap(rng, d), i%2 == 0)
+	}
+	requireSame := func(step string) {
+		t.Helper()
+		snap, v := single.Snapshot(), pool.View()
+		if v.Version() != snap.Version() || v.NumUsers() != snap.NumUsers() {
+			t.Fatalf("%s: pool (version %d, %d users), maintainer (version %d, %d users)",
+				step, v.Version(), v.NumUsers(), snap.Version(), snap.NumUsers())
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("user %d neighbor %d = %+v, want %+v", u, i, got[i], want[i])
+		for u := uint32(0); int(u) < snap.NumUsers(); u++ {
+			got, err := v.Neighbors(u)
+			if err != nil {
+				t.Fatalf("%s: Neighbors(%d): %v", step, u, err)
+			}
+			if want := snap.Neighbors(u); !slices.Equal(got, want) {
+				t.Fatalf("%s: user %d neighbors %v, want %v", step, u, got, want)
+			}
+			gp, gok := v.Profile(u)
+			wp, wok := snap.Profile(u)
+			if gok != wok || !slices.Equal(gp.IDs, wp.IDs) || !slices.Equal(gp.Weights, wp.Weights) {
+				t.Fatalf("%s: user %d profile %v, want %v", step, u, gp, wp)
 			}
 		}
+		for _, q := range queries {
+			for _, k := range []int{1, 5, 20} {
+				for _, budget := range []int{-1, 8} {
+					got, gerr := v.Query(q, k, budget)
+					want, werr := snap.Query(q, k, budget)
+					if (gerr == nil) != (werr == nil) || !slices.Equal(got, want) {
+						t.Fatalf("%s: Query(k=%d, budget=%d) = %v (%v), want %v (%v)", step, k, budget, got, gerr, want, werr)
+					}
+				}
+			}
+		}
+	}
+	requireSame("cold build")
+	for step := 0; step < 40; step++ {
+		var serr, perr error
+		var name string
+		switch op := rng.Intn(3); op {
+		case 0:
+			p := ProfileFromMap(randQueryMap(rng, d), rng.Intn(2) == 0)
+			name = fmt.Sprintf("step %d Insert", step)
+			_, serr = single.Insert(p)
+			_, perr = pool.Insert(p)
+		case 1:
+			u, item, rating := uint32(rng.Intn(single.Dataset().NumUsers())), uint32(rng.Intn(d.NumItems()+2)), float64(1+rng.Intn(5))
+			name = fmt.Sprintf("step %d AddRating(%d, %d, %v)", step, u, item, rating)
+			serr = single.AddRating(u, item, rating)
+			perr = pool.AddRating(u, item, rating)
+		default:
+			name = fmt.Sprintf("step %d Rebuild", step)
+			serr = single.Rebuild(nil)
+			perr = pool.Rebuild(nil)
+		}
+		if serr != nil || perr != nil {
+			t.Fatalf("%s: maintainer err %v, pool err %v", name, serr, perr)
+		}
+		requireSame(name)
 	}
 }
 

@@ -84,36 +84,32 @@ type sut struct {
 	t        *testing.T
 	bin      string
 	sharded  bool
-	ckptRoot string
+	ckptRoot string   // stable across restarts: generations continue
 	walDir   string   // set in WAL mode (startWAL); stable across restarts
 	extra    []string // hardening flags (-api-keys etc.), stable across restarts
-	gen      int
 	p        *proc
+}
+
+// coldArgs are the source flags of the very first boot: the kiffknn
+// artifacts seeding one maintainer, or a cold-built 4-shard pool.
+func (s *sut) coldArgs(gpath, dpath string) []string {
+	if s.sharded {
+		return []string{"-data", dpath, "-shards", fmt.Sprint(chaosShards), "-k", fmt.Sprint(chaosK)}
+	}
+	return []string{"-graph", gpath, "-data", dpath}
 }
 
 // start boots a kiffserve incarnation. ckptDir == "" means the initial
 // boot from the kiffknn artifacts; otherwise the server restarts from a
-// checkpoint directory it previously acknowledged.
+// checkpoint directory it previously acknowledged — at either shard
+// count a pool checkpoint (-pool). Every incarnation checkpoints under
+// the same root, so the generation numbering must survive SIGKILLs.
 func (s *sut) start(gpath, dpath, ckptDir string) {
-	s.gen++
-	args := []string{
-		"-queue", fmt.Sprint(chaosQueueDepth),
-		// Fresh base per incarnation: checkpoint names embed the pid and
-		// a per-process sequence, and a recycled pid must never let a
-		// new incarnation overwrite a directory an old one handed out.
-		"-checkpoint", filepath.Join(s.ckptRoot, fmt.Sprintf("gen%d", s.gen)),
-	}
-	switch {
-	case s.sharded && ckptDir != "":
+	args := []string{"-queue", fmt.Sprint(chaosQueueDepth), "-checkpoint", s.ckptRoot}
+	if ckptDir != "" {
 		args = append(args, "-pool", ckptDir)
-	case s.sharded:
-		args = append(args, "-data", dpath, "-shards", fmt.Sprint(chaosShards), "-k", fmt.Sprint(chaosK))
-	case ckptDir != "":
-		args = append(args,
-			"-graph", filepath.Join(ckptDir, "graph.kfg"),
-			"-data", filepath.Join(ckptDir, "data.kfd"))
-	default:
-		args = append(args, "-graph", gpath, "-data", dpath)
+	} else {
+		args = append(args, s.coldArgs(gpath, dpath)...)
 	}
 	args = append(args, s.extra...)
 	s.p = startServer(s.t, s.bin, args...)
@@ -138,8 +134,8 @@ func TestChaosHardened(t *testing.T) { runChaos(t, false, true) }
 //
 // Equality contract per mode: /query answers are compared in both modes
 // (an exact query is a pure function of the dataset, so sharding must
-// not change a byte); /neighbors lists are compared only unsharded —
-// the pool's neighborhoods are shard-local by design, so sharded
+// not change a byte); /neighbors lists are compared only at one shard —
+// a 4-shard pool's neighborhoods are shard-local by design, so sharded
 // Neighbors actions assert status and shape instead.
 func runChaos(t *testing.T, sharded, hardened bool) {
 	if testing.Short() {
@@ -164,7 +160,7 @@ func runChaos(t *testing.T, sharded, hardened bool) {
 		Items:        chaosItems,
 		QueueDepth:   chaosQueueDepth,
 		Restarts:     true,
-		ReadonlyFlip: !sharded, // -readonly is rejected in sharded mode
+		ReadonlyFlip: true,
 		Hardened:     hardened,
 	})
 
@@ -223,7 +219,7 @@ func runChaos(t *testing.T, sharded, hardened bool) {
 	lastSutCkpt := checkpoint(t, s.url())
 	lastOrcCkpt := checkpoint(t, orc.url())
 
-	var restarts, backpressures, authFails, rateBursts int
+	var restarts, flips, backpressures, authFails, rateBursts int
 	for i, a := range actions {
 		switch a.Kind {
 		case ActAddUser:
@@ -287,21 +283,31 @@ func runChaos(t *testing.T, sharded, hardened bool) {
 				t.Fatalf("action %d KillRestart: populations diverged sut=%d oracle=%d", i, u1, u2)
 			}
 		case ActReadonlyFlip:
-			// Checkpoint, come back read-only (mutations must 403, reads
-			// must still match), then come back mutable.
+			flips++
+			// Checkpoint, come back read-only from the checkpoint
+			// (mutations must 403, reads must still match), then come back
+			// mutable. Sharded neighborhoods are shard-local, so at four
+			// shards the read compared is a query.
 			lastSutCkpt = checkpoint(t, s.url())
 			lastOrcCkpt = checkpoint(t, orc.url())
 			s.p.terminate(t)
-			ro := startServer(t, s.bin, append([]string{"-readonly",
-				"-graph", filepath.Join(lastSutCkpt, "graph.kfg"),
-				"-data", filepath.Join(lastSutCkpt, "data.kfd")}, s.extra...)...)
+			ro := startServer(t, s.bin, append([]string{"-readonly", "-pool", lastSutCkpt}, s.extra...)...)
 			if st, _ := doJSON(t, http.MethodPost, ro.url+"/users", map[string]any{"profile": map[uint32]float64{1: 1}}); st != http.StatusForbidden {
 				t.Fatalf("action %d ReadonlyFlip: mutation returned %d, want 403", i, st)
 			}
-			_, b1 := doJSON(t, http.MethodGet, ro.url+"/neighbors/0", nil)
-			_, b2 := doJSON(t, http.MethodGet, orc.url()+"/neighbors/0", nil)
-			if n1, n2 := jsonField(t, b1, "neighbors"), jsonField(t, b2, "neighbors"); n1 != n2 {
-				t.Fatalf("action %d ReadonlyFlip: read-only neighbors diverged\n sut:    %s\n oracle: %s", i, n1, n2)
+			if sharded {
+				body := probeQuery(rand.New(rand.NewSource(seed + int64(i))))
+				_, b1 := doJSON(t, http.MethodPost, ro.url+"/query", body)
+				_, b2 := doJSON(t, http.MethodPost, orc.url()+"/query", body)
+				if r1, r2 := jsonField(t, b1, "results"), jsonField(t, b2, "results"); r1 != r2 {
+					t.Fatalf("action %d ReadonlyFlip: read-only query diverged\n sut:    %s\n oracle: %s", i, r1, r2)
+				}
+			} else {
+				_, b1 := doJSON(t, http.MethodGet, ro.url+"/neighbors/0", nil)
+				_, b2 := doJSON(t, http.MethodGet, orc.url()+"/neighbors/0", nil)
+				if n1, n2 := jsonField(t, b1, "neighbors"), jsonField(t, b2, "neighbors"); n1 != n2 {
+					t.Fatalf("action %d ReadonlyFlip: read-only neighbors diverged\n sut:    %s\n oracle: %s", i, n1, n2)
+				}
 			}
 			ro.terminate(t)
 			s.start(gpath, dpath, lastSutCkpt)
@@ -368,8 +374,8 @@ func runChaos(t *testing.T, sharded, hardened bool) {
 	if hardened && (authFails == 0 || rateBursts == 0) {
 		t.Fatalf("hardened stream exercised %d auth failures and %d rate bursts; both must be ≥ 1", authFails, rateBursts)
 	}
-	t.Logf("chaos run done: %d actions, %d kill+restarts, %d backpressure episodes, %d auth failures, %d rate bursts",
-		len(actions), restarts, backpressures, authFails, rateBursts)
+	t.Logf("chaos run done: %d actions, %d kill+restarts, %d read-only flips, %d backpressure episodes, %d auth failures, %d rate bursts",
+		len(actions), restarts, flips, backpressures, authFails, rateBursts)
 
 	if hardened {
 		// The hardened meters surfaced through /metrics. Counters are
@@ -420,11 +426,7 @@ func runChaos(t *testing.T, sharded, hardened bool) {
 	}
 	prng := rand.New(rand.NewSource(seed*31 + 17))
 	for p := 0; p < probes; p++ {
-		profile := map[uint32]float64{}
-		for len(profile) < 2+prng.Intn(4) {
-			profile[uint32(prng.Intn(chaosItems))] = float64(1 + prng.Intn(5))
-		}
-		body := map[string]any{"profile": profile, "k": 3 + prng.Intn(6)}
+		body := probeQuery(prng)
 		_, b1 := doJSON(t, http.MethodPost, s.url()+"/query", body)
 		_, b2 := doJSON(t, http.MethodPost, orc.url()+"/query", body)
 		if r1, r2 := jsonField(t, b1, "results"), jsonField(t, b2, "results"); r1 != r2 {
@@ -510,4 +512,14 @@ func (s *sut) runBackpressure(t *testing.T, i int, a Action, orc *oracle) {
 			t.Fatalf("action %d Backpressure: id diverged sut=%d oracle=%s", i, ak.id, oid)
 		}
 	}
+}
+
+// probeQuery draws a random /query body over the chaos item space: the
+// convergence probes, and the read a sharded ReadonlyFlip compares.
+func probeQuery(prng *rand.Rand) map[string]any {
+	profile := map[uint32]float64{}
+	for len(profile) < 2+prng.Intn(4) {
+		profile[uint32(prng.Intn(chaosItems))] = float64(1 + prng.Intn(5))
+	}
+	return map[string]any{"profile": profile, "k": 3 + prng.Intn(6)}
 }

@@ -1,17 +1,15 @@
 package e2e
 
 import (
-	"fmt"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 
 	"kiff"
 	"kiff/internal/server"
 )
 
-// oracle is the in-process single-maintainer reference the black-box
-// servers must converge to: the same checkpoint pair, the same mutation
+// oracle is the in-process one-shard reference the black-box servers
+// must converge to: the same kiffknn artifacts, the same mutation
 // stream, driven through the same HTTP surface (an httptest front-end
 // over internal/server) so response bytes are comparable one-to-one.
 // It checkpoints and restarts in lockstep with the system under test:
@@ -20,28 +18,20 @@ import (
 // WAL-less data loss symmetric.
 type oracle struct {
 	t        *testing.T
-	ckptRoot string
-	gen      int // incarnation counter; each gets a fresh checkpoint base
+	ckptRoot string // stable across restarts: generations continue
 	srv      *server.Server
 	ts       *httptest.Server
 	queue    int
 	cfgMods  []func(*server.Config) // applied on every (re)boot — hardening config
 }
 
-// newOracle boots the oracle from a checkpoint pair. cfgMods are applied
+// newOracle boots the oracle from a graph/dataset pair. cfgMods are applied
 // to the server configuration on every boot, including crash restarts —
 // the hardened chaos run injects its API keys and rate limits here so
 // every oracle incarnation enforces exactly what the system under test's
 // flags enforce.
 func newOracle(t *testing.T, gpath, dpath, ckptRoot string, queue int, cfgMods ...func(*server.Config)) *oracle {
 	o := &oracle{t: t, ckptRoot: ckptRoot, queue: queue, cfgMods: cfgMods}
-	o.boot(gpath, dpath)
-	t.Cleanup(func() { o.close() })
-	return o
-}
-
-func (o *oracle) boot(gpath, dpath string) {
-	t := o.t
 	g, err := kiff.LoadGraph(gpath)
 	if err != nil {
 		t.Fatalf("oracle graph: %v", err)
@@ -54,13 +44,19 @@ func (o *oracle) boot(gpath, dpath string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each incarnation checkpoints under its own base so a restarted
-	// oracle (same pid, checkpoint sequence reset) can never overwrite a
-	// directory an earlier incarnation handed out.
-	o.gen++
+	p, err := kiff.OneShardPool(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.boot(p)
+	t.Cleanup(func() { o.close() })
+	return o
+}
+
+func (o *oracle) boot(p *kiff.ShardedMaintainer) {
 	cfg := server.Config{
-		Maintainer:    m,
-		CheckpointDir: filepath.Join(o.ckptRoot, fmt.Sprintf("gen%d", o.gen)),
+		Pool:          p,
+		CheckpointDir: o.ckptRoot,
 		QueueDepth:    o.queue,
 	}
 	for _, mod := range o.cfgMods {
@@ -68,7 +64,7 @@ func (o *oracle) boot(gpath, dpath string) {
 	}
 	srv, err := server.New(cfg)
 	if err != nil {
-		t.Fatal(err)
+		o.t.Fatal(err)
 	}
 	o.srv = srv
 	o.ts = httptest.NewServer(srv.Handler())
@@ -89,10 +85,11 @@ func (o *oracle) close() {
 // (a directory a previous POST /checkpoint on the oracle returned).
 func (o *oracle) restart(ckptDir string) {
 	o.close()
-	o.boot(
-		filepath.Join(ckptDir, server.GraphCheckpointFile),
-		filepath.Join(ckptDir, server.DataCheckpointFile),
-	)
+	p, err := kiff.LoadShardedMaintainer(ckptDir, kiff.Options{})
+	if err != nil {
+		o.t.Fatalf("oracle restart: %v", err)
+	}
+	o.boot(p)
 }
 
 func (o *oracle) url() string { return o.ts.URL }

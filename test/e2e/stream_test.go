@@ -59,7 +59,7 @@ type StreamConfig struct {
 	Items        int  // item-ID space for profiles and ratings
 	QueueDepth   int  // server queue depth (sizes backpressure bursts)
 	Restarts     bool // emit KillRestart/ReadonlyFlip/Checkpoint actions
-	ReadonlyFlip bool // emit ReadonlyFlip (unsupported in sharded mode)
+	ReadonlyFlip bool // emit ReadonlyFlip (off where -readonly cannot run, e.g. with -wal)
 	ZeroLoss     bool // WAL mode: a KillRestart loses nothing, so no rollback
 	Hardened     bool // emit AuthFail/RateLimitBurst (server must run with auth + rate limiting)
 	Workers      int  // ignored; see the determinism contract above

@@ -28,19 +28,13 @@ func TestChaosWALSharded(t *testing.T)   { runChaosWAL(t, true) }
 // cold-start source flags passed every time — they only matter on the
 // very first boot, before any checkpoint exists.
 func (s *sut) startWAL(gpath, dpath string) {
-	s.gen++
 	args := []string{
 		"-queue", fmt.Sprint(chaosQueueDepth),
 		"-checkpoint", s.ckptRoot,
 		"-wal", s.walDir,
 		"-wal-sync", "always",
 	}
-	if s.sharded {
-		args = append(args, "-data", dpath, "-shards", fmt.Sprint(chaosShards), "-k", fmt.Sprint(chaosK))
-	} else {
-		args = append(args, "-graph", gpath, "-data", dpath)
-	}
-	s.p = startServer(s.t, s.bin, args...)
+	s.p = startServer(s.t, s.bin, append(args, s.coldArgs(gpath, dpath)...)...)
 }
 
 func runChaosWAL(t *testing.T, sharded bool) {
@@ -186,11 +180,7 @@ func runChaosWAL(t *testing.T, sharded bool) {
 	}
 	prng := rand.New(rand.NewSource(seed*31 + 17))
 	for p := 0; p < probes; p++ {
-		profile := map[uint32]float64{}
-		for len(profile) < 2+prng.Intn(4) {
-			profile[uint32(prng.Intn(chaosItems))] = float64(1 + prng.Intn(5))
-		}
-		body := map[string]any{"profile": profile, "k": 3 + prng.Intn(6)}
+		body := probeQuery(prng)
 		_, b1 := doJSON(t, http.MethodPost, s.url()+"/query", body)
 		_, b2 := doJSON(t, http.MethodPost, orc.url()+"/query", body)
 		if r1, r2 := jsonField(t, b1, "results"), jsonField(t, b2, "results"); r1 != r2 {

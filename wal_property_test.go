@@ -252,65 +252,84 @@ func saveCheckpointPair(t *testing.T, dir string, m *Maintainer) {
 }
 
 // TestWALShardedCheckpointReplayEquivalence: the same property through
-// the pool — per-shard logs, Pool.Save recording per-shard horizons and
-// rotating, LoadShardedMaintainerWAL replaying every shard in parallel.
+// the pool, at one and four shards — per-shard logs attached by
+// Pool.OpenWAL, Pool.Save recording per-shard horizons and rotating, and
+// a reloaded pool's OpenWAL replaying every shard above its horizon.
 func TestWALShardedCheckpointReplayEquivalence(t *testing.T) {
-	const users, items, nops, shards = 60, 40, 120, 4
+	const users, items, nops = 60, 40, 120
 	for _, seed := range []int64{5, 21} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			opts := Options{K: 8}
-			directPool, err := NewShardedMaintainer(synthWALDataset(t, seed, users, items), shards, opts)
-			if err != nil {
-				t.Fatal(err)
+			for _, shards := range []int{1, 4} {
+				walShardedReplayEquivalence(t, seed, shards, users, items, nops)
 			}
-			walDir := t.TempDir()
-			loggedPool, err := NewShardedMaintainerWAL(synthWALDataset(t, seed, users, items), shards, opts, walDir, wal.Options{Sync: wal.SyncNever})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			ops := genWALPropOps(seed, nops, users, items)
-			applyOp := func(p *ShardedMaintainer, op walPropOp) {
-				t.Helper()
-				var err error
-				switch op.kind {
-				case 0:
-					_, err = p.InsertBatch([]Profile{op.p})
-				case 1:
-					err = p.AddRating(op.user, op.item, op.rating)
-				case 2:
-					err = p.Rebuild(op.dirty)
-				}
-				if err != nil {
-					t.Fatalf("apply %+v: %v", op, err)
-				}
-			}
-
-			ckDir := t.TempDir()
-			for i, op := range ops {
-				applyOp(directPool, op)
-				applyOp(loggedPool, op)
-				if i == nops/2 {
-					// Rebuild boundary before saving, as above: Pool.Save
-					// records each shard's horizon in the manifest and
-					// rotates the shard logs itself.
-					quiesce := walPropOp{kind: 2}
-					applyOp(directPool, quiesce)
-					applyOp(loggedPool, quiesce)
-					if err := loggedPool.Save(ckDir); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if err := loggedPool.CloseWAL(); err != nil {
-				t.Fatal(err)
-			}
-
-			replayedPool, err := LoadShardedMaintainerWAL(ckDir, walDir, opts, wal.Options{Sync: wal.SyncNever})
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireServedEqual(t, replayedPool.View(), directPool.View(), seed, items)
 		})
 	}
+}
+
+func walShardedReplayEquivalence(t *testing.T, seed int64, shards, users, items, nops int) {
+	t.Helper()
+	opts := Options{K: 8}
+	wopts := wal.Options{Sync: wal.SyncNever}
+	directPool, err := NewShardedMaintainer(synthWALDataset(t, seed, users, items), shards, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walDir := t.TempDir()
+	loggedPool, err := NewShardedMaintainer(synthWALDataset(t, seed, users, items), shards, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loggedPool.OpenWAL(walDir, wopts); err != nil {
+		t.Fatal(err)
+	}
+
+	ops := genWALPropOps(seed, nops, users, items)
+	applyOp := func(p *ShardedMaintainer, op walPropOp) {
+		t.Helper()
+		var err error
+		switch op.kind {
+		case 0:
+			_, err = p.InsertBatch([]Profile{op.p})
+		case 1:
+			err = p.AddRating(op.user, op.item, op.rating)
+		case 2:
+			err = p.Rebuild(op.dirty)
+		}
+		if err != nil {
+			t.Fatalf("shards=%d: apply %+v: %v", shards, op, err)
+		}
+	}
+
+	ckDir := t.TempDir()
+	for i, op := range ops {
+		applyOp(directPool, op)
+		applyOp(loggedPool, op)
+		if i == nops/2 {
+			// Rebuild boundary before saving, as above: Pool.Save records
+			// each shard's horizon in the manifest and rotates the shard
+			// logs itself.
+			quiesce := walPropOp{kind: 2}
+			applyOp(directPool, quiesce)
+			applyOp(loggedPool, quiesce)
+			if err := loggedPool.Save(ckDir); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := loggedPool.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	replayedPool, err := LoadShardedMaintainer(ckDir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := replayedPool.OpenWAL(walDir, wopts)
+	if err != nil {
+		t.Fatalf("shards=%d: replay: %v", shards, err)
+	}
+	if st.Replayed == 0 {
+		t.Fatalf("shards=%d: replay applied no records above the checkpoint", shards)
+	}
+	requireServedEqual(t, replayedPool.View(), directPool.View(), seed, items)
 }
