@@ -342,7 +342,7 @@ func BenchmarkSparseCommonCount(b *testing.B) {
 func BenchmarkSimilarityCosineWeighted(b *testing.B) {
 	d, err := dataset.Gowalla.Generate(0.002, 5)
 	benchErr(b, err)
-	sim := similarity.Cosine{}.Prepare(d)
+	sim := similarity.Cosine{}.Prepare(d).Pair
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -367,12 +367,8 @@ func BenchmarkSimilarityKernels(b *testing.B) {
 	for _, name := range []string{"cosine", "jaccard", "adamic-adar"} {
 		m, err := similarity.ByName(name)
 		benchErr(b, err)
-		bm, ok := m.(similarity.BatchMetric)
-		if !ok {
-			b.Fatalf("%s has no batch kernel", name)
-		}
-		kernel := bm.PrepareBatch(d)()
-		pair := m.Prepare(d)
+		bound := m.Prepare(d)
+		kernel, pair := bound.Batch(), bound.Pair
 		b.Run(name+"/batch", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -37,6 +37,27 @@ func queryResults(t *testing.T, url string) string {
 	return string(out.Results)
 }
 
+// postCheckpoint asks the server for a checkpoint and returns its
+// directory.
+func postCheckpoint(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Post(url+"/checkpoint", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ck struct {
+		Dir string `json:"dir"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&ck); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || ck.Dir == "" {
+		t.Fatalf("POST /checkpoint: %d, dir %q", resp.StatusCode, ck.Dir)
+	}
+	return ck.Dir
+}
+
 // TestServeGracefulFinalCheckpoint is the shutdown-flush regression
 // test at the binary level: mutations acknowledged before SIGTERM must
 // be present in the final checkpoint the graceful shutdown writes.
@@ -88,25 +109,12 @@ func TestServeCheckpointEndpointRestart(t *testing.T) {
 		url, shutdown := boot(t, "-in", edges, "-k", "5", "-checkpoint", ckptDir)
 		want := queryResults(t, url)
 
-		resp, err := http.Post(url+"/checkpoint", "application/json", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ck struct {
-			Dir string `json:"dir"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&ck); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || ck.Dir == "" {
-			t.Fatalf("POST /checkpoint: %d, dir %q", resp.StatusCode, ck.Dir)
-		}
+		dir := postCheckpoint(t, url)
 		if err := shutdown(); err != nil {
 			t.Fatal(err)
 		}
 
-		url2, shutdown2 := boot(t, "-pool", ck.Dir)
+		url2, shutdown2 := boot(t, "-pool", dir)
 		if got := queryResults(t, url2); got != want {
 			t.Fatalf("restarted /query diverged\n got: %s\nwant: %s", got, want)
 		}
@@ -120,25 +128,12 @@ func TestServeCheckpointEndpointRestart(t *testing.T) {
 		url, shutdown := boot(t, "-in", edges, "-k", "5", "-shards", "4", "-checkpoint", ckptDir)
 		want := queryResults(t, url)
 
-		resp, err := http.Post(url+"/checkpoint", "application/json", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ck struct {
-			Dir string `json:"dir"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&ck); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || ck.Dir == "" {
-			t.Fatalf("POST /checkpoint: %d, dir %q", resp.StatusCode, ck.Dir)
-		}
+		dir := postCheckpoint(t, url)
 		if err := shutdown(); err != nil {
 			t.Fatal(err)
 		}
 
-		url2, shutdown2 := boot(t, "-pool", ck.Dir)
+		url2, shutdown2 := boot(t, "-pool", dir)
 		if got := queryResults(t, url2); got != want {
 			t.Fatalf("restarted pool /query diverged\n got: %s\nwant: %s", got, want)
 		}
@@ -152,5 +147,39 @@ func TestServeCheckpointFlagValidation(t *testing.T) {
 	var stderr bytes.Buffer
 	if err := run(context.Background(), []string{"-in", "/x", "-readonly", "-checkpoint", "/tmp/c"}, &stderr, nil); err == nil {
 		t.Fatal("-checkpoint with -readonly accepted")
+	}
+}
+
+// TestServeCheckpointAdoptsMetric: a checkpoint restarts under the
+// metric it was built with. A server cold-built with -metric jaccard
+// checkpoints through POST /checkpoint; a restart from it with -pool and
+// no -metric — mutable or read-only — answers /query identically, and
+// -pool with -metric cosine is refused, naming both metrics.
+func TestServeCheckpointAdoptsMetric(t *testing.T) {
+	url, shutdown := boot(t, "-in", writeEdgeList(t), "-k", "5", "-metric", "jaccard", "-checkpoint", t.TempDir())
+	want := queryResults(t, url)
+	dir := postCheckpoint(t, url)
+	if err := shutdown(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, args := range [][]string{{"-pool", dir}, {"-readonly", "-pool", dir}} {
+		url, shutdown := boot(t, args...)
+		if got := queryResults(t, url); got != want {
+			t.Fatalf("%v: restarted /query diverged\n got: %s\nwant: %s", args, got, want)
+		}
+		if err := shutdown(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, readonly := range []bool{false, true} {
+		args := []string{"-pool", dir, "-metric", "cosine"}
+		if readonly {
+			args = append(args, "-readonly")
+		}
+		err := bootErr(args...)
+		if err == nil || !strings.Contains(err.Error(), `"jaccard"`) || !strings.Contains(err.Error(), `"cosine"`) {
+			t.Fatalf("%v: err = %v, want a refusal naming \"jaccard\" and \"cosine\"", args, err)
+		}
 	}
 }

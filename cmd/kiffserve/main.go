@@ -22,14 +22,17 @@
 // -mmap=false forces the heap decoders. Checkpoints — -save-pool DIR
 // after construction, POST /checkpoint while serving, the final save of
 // a graceful shutdown — are pool checkpoint directories (per-shard
-// graph.i.kfg/data.i.kfd plus a manifest), and -pool DIR restarts from
-// one without rebuilding:
+// graph.i.kfg/data.i.kfd plus a manifest recording k and the metric),
+// and -pool DIR restarts from one without rebuilding. -metric defaults
+// to cosine for cold builds and to the checkpoint's own metric for
+// -pool; naming another metric for a checkpoint is refused:
 //
 //	kiffserve -data data.kfd -shards 4 -save-pool pool/ -addr :8080
 //	kiffserve -pool pool/ -addr :8080
 //
 // Crash-lossless serving: -wal DIR appends every mutation to a
-// write-ahead log (wal.<i>.kfl, one per shard) before applying it, so an
+// write-ahead log (wal.<i>.kfl, one per shard, next to a wal.shards
+// marker holding the shard count) before applying it, so an
 // acknowledged write survives even a SIGKILL. On start, when
 // -checkpoint is also set, the server picks the newest complete
 // checkpoint generation itself and replays the logs on top of it; a
@@ -102,7 +105,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 		useMmap   = fs.Bool("mmap", true, "load checkpoints through the zero-copy mmap path")
 		readonly  = fs.Bool("readonly", false, "serve a static view of the source; mutation endpoints return 403")
 		k         = fs.Int("k", 20, "neighborhood size for cold builds (checkpoints carry their own)")
-		metric    = fs.String("metric", "cosine", "similarity metric: "+strings.Join(kiff.Metrics(), ", "))
+		metric    = fs.String("metric", "", "similarity metric: "+strings.Join(kiff.Metrics(), ", ")+" (default: cosine, or the metric a -pool checkpoint records)")
 		budget    = fs.Int("budget", 0, "default similarity-eval budget per query (0 = exact)")
 		queue     = fs.Int("queue", 256, "mutation queue depth (full queue = backpressure)")
 		batch     = fs.Int("batch", 64, "max mutations applied per writer batch")
@@ -244,13 +247,14 @@ func (s source) openPool() (*kiff.ShardedMaintainer, error) {
 		if s.mmap {
 			load = kiff.LoadShardedMaintainerMapped
 		}
-		// A checkpoint carries its own k.
+		// A checkpoint carries its own k, and its own metric unless
+		// -metric names one (which must then match).
 		p, err := load(s.pool, kiff.Options{Metric: s.opts.Metric, Workers: s.opts.Workers})
 		if err != nil {
 			return nil, fmt.Errorf("load pool: %w", err)
 		}
-		fmt.Fprintf(s.stderr, "kiffserve: pool %s loaded: %d shards, %d users, k=%d (mmap=%v, construction skipped)\n",
-			s.pool, p.NumShards(), p.NumUsers(), p.K(), s.mmap)
+		fmt.Fprintf(s.stderr, "kiffserve: pool %s loaded: %d shards, %d users, k=%d, metric %s (mmap=%v, construction skipped)\n",
+			s.pool, p.NumShards(), p.NumUsers(), p.K(), p.Metric(), s.mmap)
 		return p, nil
 	}
 	ds, err := s.dataset()

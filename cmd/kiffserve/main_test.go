@@ -369,7 +369,10 @@ func TestServeWALRefusesUnshardedLog(t *testing.T) {
 
 // TestServeWALRefusesForeignShardLogs: logs left by a 4-shard server
 // hold that partition's local IDs, so a 2-shard start over the same
-// -wal directory is refused, naming the logs it has no shard for.
+// -wal directory is refused, naming the logs it has no shard for. The
+// growing direction has no such logs to name: logs of a 2-shard server
+// are all valid file names for 4 shards, so the wal.shards marker is
+// what refuses the 4-shard start.
 func TestServeWALRefusesForeignShardLogs(t *testing.T) {
 	edges := writeEdgeList(t)
 	walDir := t.TempDir()
@@ -380,5 +383,23 @@ func TestServeWALRefusesForeignShardLogs(t *testing.T) {
 	err := bootErr("-in", edges, "-k", "5", "-shards", "2", "-wal", walDir)
 	if err == nil || !strings.Contains(err.Error(), "wal.2.kfl") || !strings.Contains(err.Error(), "wal.3.kfl") {
 		t.Fatalf("-shards 2 over 4-shard logs: err = %v, want a refusal naming wal.2.kfl and wal.3.kfl", err)
+	}
+
+	walDir = t.TempDir()
+	url, shutdown := boot(t, "-in", edges, "-k", "5", "-shards", "2", "-wal", walDir)
+	resp, err := http.Post(url+"/ratings", "application/json", strings.NewReader(`{"user":10,"item":16,"rating":5}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("rating: %d", resp.StatusCode)
+	}
+	if err := shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	err = bootErr("-in", edges, "-k", "5", "-shards", "4", "-wal", walDir)
+	if err == nil || !strings.Contains(err.Error(), "wal.shards") || !strings.Contains(err.Error(), "records 2 shards, this pool has 4") {
+		t.Fatalf("-shards 4 over 2-shard logs: err = %v, want a refusal naming wal.shards and both counts", err)
 	}
 }

@@ -99,9 +99,9 @@ func checkSnapshotMatchesScratch(t *testing.T, m *Maintainer, opts Options, rng 
 }
 
 // TestCOWMutationStream drives a seeded random mutation stream through a
-// single Maintainer across several metrics (including the non-incremental
-// adamic-adar, which exercises the full re-preparation fallback) and
-// checks every published snapshot against a from-scratch export, while a
+// single Maintainer across several metrics (including adamic-adar, whose
+// per-item weights every insert and new rating refreshes) and checks
+// every published snapshot against a from-scratch export, while a
 // concurrent reader hammers the publication pointer (the -race target of
 // CI's race job). A mid-stream snapshot is pinned and must stay
 // bit-identical after every later publication. The populations span two

@@ -477,7 +477,7 @@ func sharedAbove(a, b Profile, min float64) (item uint32, n int) {
 // the similarity metric.Prepare gives on the current dataset, bit for bit.
 func requireExactEdges(t *testing.T, step int, m *Maintainer, metric similarity.Metric) {
 	t.Helper()
-	sim := metric.Prepare(m.Dataset())
+	sim := metric.Prepare(m.Dataset()).Pair
 	g := m.Snapshot().Graph()
 	for u := 0; u < g.NumUsers(); u++ {
 		for _, nb := range g.Neighbors(uint32(u)) {

@@ -21,7 +21,7 @@ import (
 // tie thresholds. workers < 1 uses all CPUs.
 func Exact(d *dataset.Dataset, metric similarity.Metric, k, workers int) *knngraph.Exact {
 	n := d.NumUsers()
-	sim := metric.Prepare(d)
+	sim := metric.Prepare(d).Pair
 	heaps := knnheap.NewSet(n, k)
 	// Shard the outer user; each pair (u,v) with u<v is evaluated once and
 	// offered to both heaps, like the pivot strategy of the real algorithms.
@@ -54,7 +54,7 @@ func Sampled(d *dataset.Dataset, metric similarity.Metric, k, sampleSize int, se
 	}
 	sort.Slice(users, func(a, b int) bool { return users[a] < users[b] })
 
-	sim := metric.Prepare(d)
+	sim := metric.Prepare(d).Pair
 	lists := make([][]knngraph.Neighbor, sampleSize)
 	parallel.For(sampleSize, workers, func(_, i int) {
 		u := users[i]
@@ -76,7 +76,7 @@ func Sampled(d *dataset.Dataset, metric similarity.Metric, k, sampleSize int, se
 // downstream users who want the true graph at small scale.
 func Graph(d *dataset.Dataset, metric similarity.Metric, k, workers int) *knngraph.Graph {
 	n := d.NumUsers()
-	sim := metric.Prepare(d)
+	sim := metric.Prepare(d).Pair
 	heaps := knnheap.NewSet(n, k)
 	parallel.Blocks(n, workers, func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {

@@ -38,7 +38,7 @@ func TestExactMatchesNaive(t *testing.T) {
 		{0: 1, 2: 1},
 	}, true)
 	k := 2
-	sim := similarity.Cosine{}.Prepare(d)
+	sim := similarity.Cosine{}.Prepare(d).Pair
 	e := Exact(d, similarity.Cosine{}, k, 1)
 	n := d.NumUsers()
 	for u := 0; u < n; u++ {

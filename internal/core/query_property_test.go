@@ -138,7 +138,7 @@ func TestQueryBitIdenticalToReference(t *testing.T) {
 		for _, name := range similarity.Names() {
 			metric, _ := similarity.ByName(name)
 			ix := NewIndex(d, metric)
-			pair := metric.Prepare(d)
+			pair := metric.Prepare(d).Pair
 			for qi, q := range queries {
 				score := func(v uint32) float64 { return externalScore(d, name, q.p, v) }
 				if q.user >= 0 {

@@ -77,7 +77,7 @@ func TestQueryUnlimitedBudgetIsExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		ix := NewIndex(d, metric)
-		sim := metric.Prepare(d)
+		sim := metric.Prepare(d).Pair
 		for _, u := range []uint32{0, 7, 42} {
 			got, err := ix.Query(d.Users[u], 5, -1)
 			if err != nil {

@@ -8,14 +8,29 @@ import (
 	"kiff/internal/similarity"
 )
 
-// pairwiseOnly hides a metric's batch form: only the plain Metric
-// methods are promoted, so the engine session falls back to the
-// PairwiseBatcher adapter — the reference path.
+// pairwiseOnly replaces a metric's kernels with an adapter that scores
+// each candidate through the binding's pairwise function — the
+// reference path.
 type pairwiseOnly struct{ similarity.Metric }
 
+func (p pairwiseOnly) Prepare(d *dataset.Dataset) similarity.Binding {
+	b := p.Metric.Prepare(d)
+	b.Batch = func() similarity.Batcher { return pairwiseBatcher{b.Pair} }
+	return b
+}
+
+// pairwiseBatcher adapts a pairwise function to the Batcher interface.
+type pairwiseBatcher struct{ pair similarity.Func }
+
+func (p pairwiseBatcher) ScoreInto(dst []float64, u uint32, cands []uint32) {
+	for i, v := range cands {
+		dst[i] = p.pair(u, v)
+	}
+}
+
 // TestBatchPathEqualsPairwisePath builds with every registered builder
-// twice — once with the metric's batch kernels, once with the same
-// metric stripped down to its pairwise form — and requires identical
+// and every metric twice — once with the metric's batch kernels, once
+// with the kernels replaced by its pairwise form — and requires identical
 // graphs and identical SimEvals. This is the end-to-end guarantee that
 // adopting the batched kernels changed no observable output: recall,
 // neighbor lists, similarity values and the §IV-C evaluation counts are
@@ -25,13 +40,12 @@ func TestBatchPathEqualsPairwisePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metrics := []similarity.Metric{
-		similarity.Cosine{},
-		similarity.Jaccard{},
-		similarity.AdamicAdar{},
-	}
 	for _, algo := range engine.Names() {
-		for _, metric := range metrics {
+		for _, name := range similarity.Names() {
+			metric, err := similarity.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
 			// Workers: 1 for determinism — HyRec and NN-Descent gather
 			// candidates from heaps that concurrent workers mutate, so
 			// multi-worker runs differ run-to-run regardless of the
@@ -70,8 +84,8 @@ func TestBatchPathEqualsPairwisePath(t *testing.T) {
 	}
 }
 
-// TestSessionBatcherFallback: a session over a batchless metric still
-// hands out a working (counted) kernel.
+// TestSessionBatcherFallback: a session over a metric whose kernels are
+// the pairwise adapter still counts every scored pair.
 func TestSessionBatcherFallback(t *testing.T) {
 	d, _, _ := dataset.Toy()
 	res, err := engine.Build("brute-force", d, engine.Options{K: 2, Metric: pairwiseOnly{similarity.Cosine{}}})
@@ -79,6 +93,6 @@ func TestSessionBatcherFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Run.SimEvals == 0 {
-		t.Error("fallback batcher recorded no similarity evaluations")
+		t.Error("pairwise-adapter kernels recorded no similarity evaluations")
 	}
 }

@@ -9,9 +9,10 @@
 //
 //	normalize — shared validation (Options.normalize) followed by the
 //	            builder's algorithm-specific defaults (Builder.Normalize);
-//	prepare   — the engine binds the metric to the dataset, wraps it with
-//	            the evaluation counter, and allocates the bounded k-heaps
-//	            (newSession);
+//	prepare   — the engine binds the metric to the dataset once
+//	            (similarity.Metric.Prepare), wraps the binding's pairwise
+//	            function and kernels with the evaluation counter, and
+//	            allocates the bounded k-heaps (newSession);
 //	refine    — the builder's construction loop proper (Builder.Refine),
 //	            which reads the prepared Session and drives the heaps;
 //	finalize  — the engine snapshots the heaps into a Graph and assembles
@@ -160,20 +161,20 @@ type Session struct {
 	// one (Table V); zero otherwise.
 	RCS rcs.BuildStats
 
-	// batch mints evaluation-counted one-vs-many kernels when the metric
-	// has a batch form; nil otherwise (Batcher then adapts Sim).
-	batch similarity.BatchFactory
-	evals atomic.Int64
-	start time.Time
+	// binding is the metric bound to Dataset; batch mints its
+	// evaluation-counted one-vs-many kernels.
+	binding similarity.Binding
+	batch   similarity.BatchFactory
+	evals   atomic.Int64
+	start   time.Time
 }
 
 func newSession(b Builder, d *dataset.Dataset, o Options) *Session {
 	s := &Session{Dataset: d, Opts: o, start: time.Now()}
 	prepStart := time.Now()
-	s.Sim = similarity.Counted(o.Metric.Prepare(d), &s.evals)
-	if bm, ok := o.Metric.(similarity.BatchMetric); ok {
-		s.batch = similarity.CountedBatch(bm.PrepareBatch(d), &s.evals)
-	}
+	s.binding = o.Metric.Prepare(d)
+	s.Sim = similarity.Counted(s.binding.Pair, &s.evals)
+	s.batch = similarity.CountedBatch(s.binding.Batch, &s.evals)
 	s.Heaps = knnheap.NewSet(d.NumUsers(), o.K)
 	s.Wall.Add(runstats.PhasePreprocess, time.Since(prepStart))
 	s.Run = runstats.Run{Algorithm: b.Name(), NumUsers: d.NumUsers(), K: o.K}
@@ -183,18 +184,12 @@ func newSession(b Builder, d *dataset.Dataset, o Options) *Session {
 // Evals returns the number of similarity evaluations performed so far.
 func (s *Session) Evals() int64 { return s.evals.Load() }
 
-// Batcher mints a one-vs-many scoring kernel for one worker: the
-// metric's batch kernel when it has one, otherwise an adapter over Sim.
-// Every scored pair is counted into SimEvals exactly like a Sim call,
-// and the kernels score bit-identically to Sim, so builders are free to
-// use either path without perturbing the §IV-C statistics. The returned
+// Batcher mints a one-vs-many scoring kernel for one worker. Every
+// scored pair is counted into SimEvals exactly like a Sim call, and the
+// kernels score bit-identically to Sim, so builders are free to use
+// either path without perturbing the §IV-C statistics. The returned
 // kernel owns scratch memory and must stay confined to one goroutine.
-func (s *Session) Batcher() similarity.Batcher {
-	if s.batch != nil {
-		return s.batch()
-	}
-	return similarity.PairwiseBatcher(s.Sim)
-}
+func (s *Session) Batcher() similarity.Batcher { return s.batch() }
 
 // RecordIteration closes refinement iteration iter: it appends the change
 // count and cumulative evaluation count to the run traces and fires the
@@ -220,7 +215,7 @@ func (s *Session) finalize() *Result {
 	for p := runstats.PhasePreprocess; p <= runstats.PhaseSimilarity; p++ {
 		s.Run.PhaseTimes[p] = s.Wall.Duration(p) + s.Work.Duration(p)/time.Duration(w)
 	}
-	return &Result{Graph: knngraph.FromSet(s.Heaps), Run: s.Run, RCS: s.RCS, Heaps: s.Heaps}
+	return &Result{Graph: knngraph.FromSet(s.Heaps), Run: s.Run, RCS: s.RCS, Heaps: s.Heaps, Binding: s.binding}
 }
 
 // Result is the outcome of an engine run.
@@ -237,6 +232,10 @@ type Result struct {
 	// ignore it; incremental maintenance (kiff.Maintainer) keeps it to
 	// continue updating the graph in place.
 	Heaps *knnheap.Set
+	// Binding is the metric bound to the input dataset, without the
+	// run's evaluation counter. Incremental maintenance adopts it, with
+	// Heaps, instead of preparing the metric again.
+	Binding similarity.Binding
 }
 
 // Build constructs a KNN graph with the registered builder named algo,

@@ -45,8 +45,8 @@ func (h *Harness) Fig7() (*Fig7Result, error) {
 	// Complete (unpivoted) candidate sets with counts: Fig 7 studies the
 	// per-user ranking itself, so the sets must not be halved by the pivot.
 	sets := rcs.Build(d, rcs.BuildOptions{Workers: h.Opts.Workers, KeepCounts: true, NoPivot: true})
-	jac := similarity.Jaccard{}.Prepare(d)
-	cos := similarity.Cosine{}.Prepare(d)
+	jac := similarity.Jaccard{}.Prepare(d).Pair
+	cos := similarity.Cosine{}.Prepare(d).Pair
 
 	res := &Fig7Result{Cut: cut}
 	for u := uint32(0); int(u) < d.NumUsers(); u++ {

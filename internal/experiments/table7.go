@@ -40,7 +40,7 @@ func (h *Harness) Table7() (*Table7Result, error) {
 		exact := h.Exact(d, k)
 
 		sets := rcs.Build(d, rcs.BuildOptions{Workers: h.Opts.Workers, NoPivot: true})
-		sim := similarity.Cosine{}.Prepare(d)
+		sim := similarity.Cosine{}.Prepare(d).Pair
 		topk := initFromRCS(d, sets, sim, k)
 		random := randomGraph(d, sim, k, h.Opts.Seed)
 

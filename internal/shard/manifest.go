@@ -38,6 +38,12 @@ type Manifest struct {
 	Users int `json:"users"`
 	// K is the per-shard neighborhood size.
 	K int `json:"k"`
+	// Metric is the canonical name of the similarity metric the graphs
+	// were maintained under. Loaders adopt it, and refuse to serve the
+	// graphs under another metric. Absent from the manifests of older
+	// releases, whose loaders take the metric from the caller; the
+	// schema stays v1 because old readers ignore the field.
+	Metric string `json:"metric,omitempty"`
 	// Hash names the Owner scheme the assignment was derived with.
 	Hash string `json:"hash"`
 	// ShardUsers records each shard's population — redundant with
@@ -99,6 +105,7 @@ func (p *Pool) Save(dir string) error {
 		Shards:     len(p.shards),
 		Users:      len(m.owner),
 		K:          p.k,
+		Metric:     p.metric,
 		Hash:       hashScheme,
 		ShardUsers: make([]int, len(p.shards)),
 	}
@@ -167,14 +174,14 @@ func saveShard(dir string, i int, sl *slot, persist func(string, func(*os.File) 
 	})
 }
 
-// Load assembles a pool from a checkpoint directory written by Save:
-// the manifest is validated, open rebuilds each shard's maintainer from
-// its graph and dataset files (in parallel across shards), and NewPool
-// re-derives and cross-checks the user→shard assignment. The pool
-// remembers the manifest's wal_lsns as the horizons OpenWAL replays
-// above.
-func Load(dir string, open func(gpath, dpath string) (Maintainer, error)) (*Pool, error) {
-	man, ms, err := loadShards(dir, open)
+// Load assembles a pool from a checkpoint directory written by Save,
+// given its manifest as ReadManifest returned it: open rebuilds each
+// shard's maintainer from its graph and dataset files (in parallel
+// across shards), and NewPool re-derives and cross-checks the
+// user→shard assignment. The pool remembers the manifest's wal_lsns as
+// the horizons OpenWAL replays above.
+func Load(dir string, man Manifest, open func(gpath, dpath string) (Maintainer, error)) (*Pool, error) {
+	ms, err := loadShards(dir, man, open)
 	if err != nil {
 		return nil, err
 	}
@@ -189,21 +196,16 @@ func Load(dir string, open func(gpath, dpath string) (Maintainer, error)) (*Pool
 // LoadView is Load for read-only serving: open builds each shard's
 // Reader straight from its files, and the result is a View pinned over
 // them (NewView) — no maintainer, no writer.
-func LoadView(dir string, open func(gpath, dpath string) (Reader, error)) (*View, error) {
-	man, rs, err := loadShards(dir, open)
+func LoadView(dir string, man Manifest, open func(gpath, dpath string) (Reader, error)) (*View, error) {
+	rs, err := loadShards(dir, man, open)
 	if err != nil {
 		return nil, err
 	}
 	return NewView(rs, man.Users)
 }
 
-// loadShards validates dir's manifest and runs open over every shard's
-// file pair in parallel.
-func loadShards[T any](dir string, open func(gpath, dpath string) (T, error)) (Manifest, []T, error) {
-	man, err := ReadManifest(dir)
-	if err != nil {
-		return man, nil, err
-	}
+// loadShards runs open over every shard's file pair in parallel.
+func loadShards[T any](dir string, man Manifest, open func(gpath, dpath string) (T, error)) ([]T, error) {
 	out := make([]T, man.Shards)
 	g := parallel.NewGroup(man.Shards)
 	for i := range out {
@@ -217,13 +219,13 @@ func loadShards[T any](dir string, open func(gpath, dpath string) (T, error)) (M
 		})
 	}
 	if err := g.Wait(); err != nil {
-		return man, nil, err
+		return nil, err
 	}
-	return man, out, nil
+	return out, nil
 }
 
-// ReadManifest loads and validates a checkpoint directory's manifest
-// (Load and LoadView start here).
+// ReadManifest loads and validates a checkpoint directory's manifest,
+// the input of Load and LoadView.
 func ReadManifest(dir string) (Manifest, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, ManifestFile))
 	if err != nil {

@@ -34,10 +34,12 @@ import (
 	"regexp"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"kiff/internal/dataset"
+	"kiff/internal/fsio"
 	"kiff/internal/knngraph"
 	"kiff/internal/parallel"
 	"kiff/internal/runstats"
@@ -77,6 +79,9 @@ type Reader interface {
 	NumUsers() int
 	// K is the neighborhood size of the shard graph.
 	K() int
+	// Metric is the canonical name of the similarity metric the shard
+	// scores with.
+	Metric() string
 	// Neighbors returns local user u's shard-local KNN list.
 	Neighbors(u uint32) []knngraph.Neighbor
 	// Query returns the k most similar local users to an external
@@ -188,12 +193,12 @@ func (p *Pool) WALError() error {
 // then re-derives the user→shard mapping over the grown population and
 // cross-checks every shard against it, as NewPool does: logs that do not
 // belong to this pool fail here instead of serving. Logs written under
-// another shard count carry another partition's local IDs, so dir must
-// not hold a single-log wal.kfl or any wal.<i>.kfl with i ≥ NumShards;
-// OpenWAL refuses such a directory before opening anything. On any error
-// the pool must be discarded.
+// another shard count carry another partition's local IDs, so before
+// opening anything OpenWAL claims dir for this shard count (claimWALDir)
+// and refuses a directory written under another one. On any error the
+// pool must be discarded.
 func (p *Pool) OpenWAL(dir string, opts wal.Options) (wal.ReplayStats, error) {
-	if err := checkWALDir(dir, len(p.shards)); err != nil {
+	if err := claimWALDir(dir, len(p.shards)); err != nil {
 		return wal.ReplayStats{}, err
 	}
 	p.mu.Lock()
@@ -236,7 +241,7 @@ func (p *Pool) OpenWAL(dir string, opts wal.Options) (wal.ReplayStats, error) {
 		total.Skipped += stats[i].Skipped
 		total.TruncatedBytes += stats[i].TruncatedBytes
 	}
-	m, _, err := partition(rs, users)
+	m, err := partition(rs, users)
 	if err != nil {
 		return total, fmt.Errorf("shard: open wal: %w", err)
 	}
@@ -247,10 +252,18 @@ func (p *Pool) OpenWAL(dir string, opts wal.Options) (wal.ReplayStats, error) {
 // walFileRe matches the per-shard log names WalFile produces.
 var walFileRe = regexp.MustCompile(`^wal\.(\d+)\.kfl$`)
 
-// checkWALDir refuses a log directory holding logs that were not
-// written by an n-shard pool: the single-log wal.kfl of older releases,
-// or a wal.<i>.kfl with i ≥ n.
-func checkWALDir(dir string, n int) error {
+// walShardsFile names the marker that records, next to the logs, the
+// shard count of the pool that writes a WAL directory.
+const walShardsFile = "wal.shards"
+
+// claimWALDir refuses a log directory holding logs that were not
+// written by an n-shard pool — the single-log wal.kfl of older releases,
+// a wal.<i>.kfl with i ≥ n, or a walShardsFile marker naming another
+// count — and otherwise marks it as n-shard, durably, so that a later
+// pool of another size is refused even before its logs disagree. A
+// directory without a marker (logs of an older release, or none yet)
+// passes on its log names alone and is then marked.
+func claimWALDir(dir string, n int) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("shard: open wal: %w", err)
@@ -270,6 +283,28 @@ func checkWALDir(dir string, n int) error {
 		slices.Sort(foreign)
 		return fmt.Errorf("shard: open wal: %s holds %v, written under a different shard count than this %d-shard pool (see the migration steps in docs/OPERATIONS.md)",
 			dir, foreign, n)
+	}
+	marker := filepath.Join(dir, walShardsFile)
+	raw, err := os.ReadFile(marker)
+	if err == nil {
+		got, err := strconv.Atoi(strings.TrimSpace(string(raw)))
+		if err != nil {
+			return fmt.Errorf("shard: open wal: %s does not hold a shard count: %w", marker, err)
+		}
+		if got != n {
+			return fmt.Errorf("shard: open wal: %s records %d shards, this pool has %d (restart with the shard count the logs were written under)",
+				marker, got, n)
+		}
+		return nil
+	}
+	if !os.IsNotExist(err) {
+		return fmt.Errorf("shard: open wal: %w", err)
+	}
+	if err := fsio.WriteDurable(marker, func(f *os.File) error {
+		_, err := fmt.Fprintf(f, "%d\n", n)
+		return err
+	}); err != nil {
+		return fmt.Errorf("shard: open wal: %w", err)
 	}
 	return nil
 }
@@ -361,6 +396,7 @@ func (s *slot) refreshStats(i int) {
 // never observe torn state.
 type Pool struct {
 	k      int
+	metric string
 	shards []*slot
 	// walFrom holds the per-shard log horizons of the checkpoint the pool
 	// was loaded from (nil: replay whole logs); read by OpenWAL.
@@ -386,17 +422,18 @@ var ErrNotFound = errors.New("shard: no such user")
 // global IDs, in ascending global order — NewPool re-derives the mapping
 // from that contract and rejects maintainers whose populations do not
 // match it, which is how a corrupt or mixed-up checkpoint fails fast
-// instead of serving misrouted answers. All shards must agree on k.
+// instead of serving misrouted answers. All shards must agree on k and
+// on the metric.
 func NewPool(ms []Maintainer, numUsers int) (*Pool, error) {
 	rs := make([]Reader, len(ms))
 	for i, sm := range ms {
 		rs[i] = sm.Reader()
 	}
-	m, k, err := partition(rs, numUsers)
+	m, err := partition(rs, numUsers)
 	if err != nil {
 		return nil, err
 	}
-	p := &Pool{k: k, shards: make([]*slot, len(ms))}
+	p := &Pool{k: rs[0].K(), metric: rs[0].Metric(), shards: make([]*slot, len(ms))}
 	for i, sm := range ms {
 		p.shards[i] = &slot{m: sm}
 		p.shards[i].refreshStats(i)
@@ -406,16 +443,16 @@ func NewPool(ms []Maintainer, numUsers int) (*Pool, error) {
 }
 
 // partition derives the Owner assignment of numUsers global IDs over
-// len(rs) shards and checks every shard's population and k against it —
-// the contract NewPool, NewView and OpenWAL share. It returns the
-// mapping and the common k.
-func partition(rs []Reader, numUsers int) (*mapping, int, error) {
+// len(rs) shards and checks every shard's population against it, and
+// its k and metric against shard 0's — the contract NewPool, NewView and
+// OpenWAL share.
+func partition(rs []Reader, numUsers int) (*mapping, error) {
 	n := len(rs)
 	if n < 1 || n > MaxShards {
-		return nil, 0, fmt.Errorf("shard: pool needs 1..%d shards, got %d", MaxShards, n)
+		return nil, fmt.Errorf("shard: pool needs 1..%d shards, got %d", MaxShards, n)
 	}
 	if numUsers < 0 {
-		return nil, 0, fmt.Errorf("shard: negative user count %d", numUsers)
+		return nil, fmt.Errorf("shard: negative user count %d", numUsers)
 	}
 	m := &mapping{
 		owner:  make([]uint16, numUsers),
@@ -428,17 +465,20 @@ func partition(rs []Reader, numUsers int) (*mapping, int, error) {
 		m.local[g] = uint32(len(m.global[s]))
 		m.global[s] = append(m.global[s], uint32(g))
 	}
-	k := rs[0].K()
+	k, metric := rs[0].K(), rs[0].Metric()
 	for i, r := range rs {
 		if r.NumUsers() != len(m.global[i]) {
-			return nil, 0, fmt.Errorf("shard: shard %d holds %d users, the %d-user/%d-shard partition owns %d (checkpoint from a different population?)",
+			return nil, fmt.Errorf("shard: shard %d holds %d users, the %d-user/%d-shard partition owns %d (checkpoint from a different population?)",
 				i, r.NumUsers(), numUsers, n, len(m.global[i]))
 		}
 		if r.K() != k {
-			return nil, 0, fmt.Errorf("shard: shard %d has k = %d, shard 0 has k = %d", i, r.K(), k)
+			return nil, fmt.Errorf("shard: shard %d has k = %d, shard 0 has k = %d", i, r.K(), k)
+		}
+		if r.Metric() != metric {
+			return nil, fmt.Errorf("shard: shard %d scores with metric %q, shard 0 with %q", i, r.Metric(), metric)
 		}
 	}
-	return m, k, nil
+	return m, nil
 }
 
 // NumShards returns the shard count.
@@ -446,6 +486,10 @@ func (p *Pool) NumShards() int { return len(p.shards) }
 
 // K returns the per-shard neighborhood size.
 func (p *Pool) K() int { return p.k }
+
+// Metric returns the canonical name of the similarity metric every
+// shard maintains its graph under.
+func (p *Pool) Metric() string { return p.metric }
 
 // NumUsers returns the number of assigned global user IDs (including any
 // still pending publication by their owner shard).

@@ -33,11 +33,11 @@ type View struct {
 // checkpoint (LoadView). The readers must partition numUsers global IDs
 // exactly as NewPool requires of its maintainers.
 func NewView(rs []Reader, numUsers int) (*View, error) {
-	m, k, err := partition(rs, numUsers)
+	m, err := partition(rs, numUsers)
 	if err != nil {
 		return nil, err
 	}
-	return &View{k: k, m: m, snaps: rs}, nil
+	return &View{k: rs[0].K(), m: m, snaps: rs}, nil
 }
 
 // View pins the current mapping and every shard's current snapshot.

@@ -6,24 +6,18 @@ import (
 	"testing"
 
 	"kiff/internal/dataset"
-	"kiff/internal/sparse"
 )
 
-// batchMetrics asserts up front that every registered metric has a batch
-// form — a new metric without one should fail loudly here.
-func batchMetrics(t *testing.T) []BatchMetric {
+// metrics resolves every registered metric.
+func metrics(t *testing.T) []Metric {
 	t.Helper()
-	out := make([]BatchMetric, 0, len(Names()))
+	out := make([]Metric, 0, len(Names()))
 	for _, name := range Names() {
 		m, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bm, ok := m.(BatchMetric)
-		if !ok {
-			t.Fatalf("metric %q does not implement BatchMetric", name)
-		}
-		out = append(out, bm)
+		out = append(out, m)
 	}
 	return out
 }
@@ -50,7 +44,7 @@ func randBatchDataset(r *rand.Rand, users, items int, binary bool) *dataset.Data
 // Adamic–Adar's Σ 1/ln|IPi|) match exactly; a tolerance would hide an
 // ordering regression.
 func TestBatchKernelsEqualPairwise(t *testing.T) {
-	metrics := batchMetrics(t)
+	ms := metrics(t)
 	r := rand.New(rand.NewSource(301))
 	shapes := []struct {
 		users, items int
@@ -63,9 +57,9 @@ func TestBatchKernelsEqualPairwise(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		shape := shapes[trial%len(shapes)]
 		d := randBatchDataset(r, shape.users, shape.items, trial%2 == 0)
-		for _, bm := range metrics {
-			pair := bm.Prepare(d)
-			kernel := bm.PrepareBatch(d)()
+		for _, m := range ms {
+			b := m.Prepare(d)
+			pair, kernel := b.Pair, b.Batch()
 			n := d.NumUsers()
 			cands := make([]uint32, 0, n)
 			scores := make([]float64, n)
@@ -80,7 +74,7 @@ func TestBatchKernelsEqualPairwise(t *testing.T) {
 				for i, v := range cands {
 					if want := pair(uint32(u), v); scores[i] != want {
 						t.Fatalf("%s: trial %d (%d users, %d items): ScoreInto(%d, %d) = %v, pairwise = %v",
-							bm.Name(), trial, shape.users, shape.items, u, v, scores[i], want)
+							m.Name(), trial, shape.users, shape.items, u, v, scores[i], want)
 					}
 				}
 			}
@@ -98,9 +92,9 @@ func TestBatchKernelFallbackPath(t *testing.T) {
 
 	r := rand.New(rand.NewSource(307))
 	d := randBatchDataset(r, 20, 500, false) // most pivots reference IDs ≥ 16
-	for _, bm := range batchMetrics(t) {
-		pair := bm.Prepare(d)
-		kernel := bm.PrepareBatch(d)()
+	for _, m := range metrics(t) {
+		b := m.Prepare(d)
+		pair, kernel := b.Pair, b.Batch()
 		n := d.NumUsers()
 		cands := make([]uint32, 0, n)
 		for v := 1; v < n; v++ {
@@ -110,7 +104,7 @@ func TestBatchKernelFallbackPath(t *testing.T) {
 		kernel.ScoreInto(scores, 0, cands)
 		for i, v := range cands {
 			if want := pair(0, v); scores[i] != want {
-				t.Fatalf("%s: fallback ScoreInto(0, %d) = %v, pairwise = %v", bm.Name(), v, scores[i], want)
+				t.Fatalf("%s: fallback ScoreInto(0, %d) = %v, pairwise = %v", m.Name(), v, scores[i], want)
 			}
 		}
 	}
@@ -121,9 +115,9 @@ func TestBatchKernelFallbackPath(t *testing.T) {
 func TestBatchKernelReuseAcrossPivots(t *testing.T) {
 	r := rand.New(rand.NewSource(311))
 	d := randBatchDataset(r, 30, 40, false)
-	for _, bm := range batchMetrics(t) {
-		pair := bm.Prepare(d)
-		kernel := bm.PrepareBatch(d)()
+	for _, m := range metrics(t) {
+		b := m.Prepare(d)
+		pair, kernel := b.Pair, b.Batch()
 		scores := make([]float64, 1)
 		// Deliberately hop between pivots with very different profiles.
 		for trial := 0; trial < 200; trial++ {
@@ -135,51 +129,42 @@ func TestBatchKernelReuseAcrossPivots(t *testing.T) {
 			kernel.ScoreInto(scores, u, []uint32{v})
 			if want := pair(u, v); scores[0] != want {
 				t.Fatalf("%s: reuse trial %d: ScoreInto(%d, %d) = %v, pairwise = %v",
-					bm.Name(), trial, u, v, scores[0], want)
+					m.Name(), trial, u, v, scores[0], want)
 			}
 		}
 	}
 }
 
-// TestIncrementalBatchSharedRefresh: for metrics with the incremental
-// batch form, the pairwise function and kernels share the refreshed
-// state — after mutations plus refresh, both match a fresh Prepare.
+// TestIncrementalBatchSharedRefresh: a binding's pairwise function and
+// its kernels share the refreshed state — after mutations plus Refresh,
+// both match a fresh Prepare on every pair, for every metric.
 func TestIncrementalBatchSharedRefresh(t *testing.T) {
 	r := rand.New(rand.NewSource(313))
-	for _, name := range Names() {
-		m, _ := ByName(name)
-		incb, ok := m.(IncrementalBatch)
-		if !ok {
-			continue // Adamic–Adar: global per-item state, no incremental form
-		}
+	for _, m := range metrics(t) {
 		d := randBatchDataset(r, 15, 30, false)
-		fn, factory, refresh := incb.PrepareIncrementalBatch(d)
-		kernel := factory()
-
+		b := m.Prepare(d)
+		kernel := b.Batch()
 		if err := d.AddRating(2, 7, 4); err != nil {
 			t.Fatal(err)
 		}
-		refresh(2)
-		id, err := d.AddUser(sparse.Vector{IDs: []uint32{1, 7, 29}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		refresh(id)
+		b.Refresh(2)
+		mutateAndRefresh(t, d, b.Refresh, 4, 6)
 
 		fresh := m.Prepare(d)
+		n := uint32(d.NumUsers())
 		scores := make([]float64, 1)
-		for v := uint32(0); v < uint32(d.NumUsers()); v++ {
-			for _, u := range []uint32{2, id} {
+		for u := uint32(0); u < n; u++ {
+			for v := uint32(0); v < n; v++ {
 				if u == v {
 					continue
 				}
-				want := fresh(u, v)
-				if got := fn(u, v); got != want {
-					t.Fatalf("%s: incremental fn(%d,%d) = %v, fresh = %v", name, u, v, got, want)
+				want := fresh.Pair(u, v)
+				if got := b.Pair(u, v); got != want {
+					t.Fatalf("%s: refreshed Pair(%d,%d) = %v, fresh = %v", m.Name(), u, v, got, want)
 				}
 				kernel.ScoreInto(scores, u, []uint32{v})
 				if scores[0] != want {
-					t.Fatalf("%s: incremental kernel(%d,%d) = %v, fresh = %v", name, u, v, scores[0], want)
+					t.Fatalf("%s: refreshed kernel(%d,%d) = %v, fresh = %v", m.Name(), u, v, scores[0], want)
 				}
 			}
 		}
@@ -192,7 +177,7 @@ func TestCountedBatchCountsPairs(t *testing.T) {
 	r := rand.New(rand.NewSource(317))
 	d := randBatchDataset(r, 10, 20, true)
 	var evals atomic.Int64
-	factory := CountedBatch(Cosine{}.PrepareBatch(d), &evals)
+	factory := CountedBatch(Cosine{}.Prepare(d).Batch, &evals)
 	kernel := factory()
 	scores := make([]float64, 4)
 	kernel.ScoreInto(scores[:3], 0, []uint32{1, 2, 3})

@@ -46,7 +46,7 @@ func TestQuickPaperProperties(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			sim := m.Prepare(d)
+			sim := m.Prepare(d).Pair
 			n := d.NumUsers()
 			for u := 0; u < n; u++ {
 				for v := u + 1; v < n; v++ {
@@ -84,7 +84,7 @@ func TestQuickCosineBounded(t *testing.T) {
 		},
 	}
 	f := func(d *dataset.Dataset) bool {
-		sim := Cosine{}.Prepare(d)
+		sim := Cosine{}.Prepare(d).Pair
 		n := d.NumUsers()
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
@@ -116,8 +116,8 @@ func TestQuickOverlapZeroIffMetricsZero(t *testing.T) {
 		},
 	}
 	f := func(d *dataset.Dataset) bool {
-		jac := Jaccard{}.Prepare(d)
-		dice := Dice{}.Prepare(d)
+		jac := Jaccard{}.Prepare(d).Pair
+		dice := Dice{}.Prepare(d).Pair
 		n := d.NumUsers()
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {

@@ -6,17 +6,19 @@
 // ones. These properties are what make KIFF's RCS pruning lossless
 // (§III-D), and are covered by property-based tests.
 //
-// A metric is bound to a dataset once via Prepare, which lets it precompute
-// per-user norms or per-item statistics; the returned Func is then a pure,
-// concurrency-safe pairwise function. Every similarity evaluation performed
-// by an algorithm flows through a Func wrapped with Counted (or a batch
-// kernel wrapped with CountedBatch), giving the scan-rate metric of §IV-C
-// for free.
+// A metric is bound to a dataset once, via Prepare, which precomputes its
+// per-user or per-item state (cosine's norms, Adamic–Adar's 1/ln|IPi|
+// table; nothing for the count-based metrics). The returned Binding
+// serves every scoring form over that one state: the pairwise reference
+// Pair, the one-vs-many kernels of batch.go (Batch), and Refresh, which
+// keeps the state exact as the dataset grows. Every similarity
+// evaluation performed by an algorithm flows through a Pair wrapped with
+// Counted or a kernel wrapped with CountedBatch, giving the scan-rate
+// metric of §IV-C for free.
 //
-// The pairwise Func is the reference implementation; the hot construction
-// loops score through the one-vs-many kernels of batch.go (BatchMetric),
-// and single-profile queries through ScoreProfile (profile.go). Both are
-// property-tested bit-for-bit equal to it.
+// Pair is the reference implementation; the hot construction loops score
+// through the kernels, and single-profile queries through ScoreProfile
+// (profile.go). Both are property-tested bit-for-bit equal to it.
 package similarity
 
 import (
@@ -28,40 +30,39 @@ import (
 	"kiff/internal/sparse"
 )
 
-// Func computes the similarity between two users of the prepared dataset.
-// Implementations must be safe for concurrent use.
+// Func computes the similarity between two users of the bound dataset.
 type Func func(u, v uint32) float64
+
+// Binding is a metric bound to one dataset: three views of one prepared
+// state. Pair and the kernels Batch mints read profiles through the
+// dataset on every call, so they observe appended users and changed
+// profiles once Refresh has run for them. They are safe for concurrent
+// use while nothing mutates the dataset (the engine's build workers); a
+// mutating owner (the Maintainer) uses them from its single writer.
+type Binding struct {
+	// Pair is the pairwise reference function.
+	Pair Func
+	// Batch mints one-vs-many kernels, each bit-for-bit equal to Pair.
+	Batch BatchFactory
+	// Refresh re-derives the state after user u was appended or its
+	// profile changed, and must run before the next evaluation that
+	// involves u or one of u's items.
+	Refresh func(u uint32)
+}
 
 // Metric is a similarity measure over user profiles.
 type Metric interface {
 	// Name returns the metric's identifier (used in flags and tables).
 	Name() string
-	// Prepare binds the metric to a dataset and returns the pairwise
-	// function. Prepare may precompute per-user or per-item state.
-	Prepare(d *dataset.Dataset) Func
+	// Prepare binds the metric to a dataset, precomputing its per-user
+	// or per-item state once.
+	Prepare(d *dataset.Dataset) Binding
 	// ScoreProfile fills dst[i] with the similarity between the pivot's
 	// external profile and user cands[i] of the pivot's source; common[i]
 	// must be their shared-item count |p ∩ cands[i]|, which the caller's
 	// counting phase has at hand. len(dst) and len(common) must equal
 	// len(cands). See profile.go.
 	ScoreProfile(dst []float64, pv *Pivot, cands []uint32, common []int32)
-}
-
-// Incremental is an optional Metric extension for append-only mutating
-// datasets (the incremental-maintenance path). PrepareIncremental binds
-// the metric like Prepare, but the returned function stays valid across
-// dataset mutations provided refresh(u) is called for every appended or
-// profile-changed user before the next evaluation involving u — so a
-// stream of mutations costs O(changed profiles), not one full O(|U|)
-// re-preparation each. Unlike Prepare's result, the pair (fn, refresh)
-// is not safe for concurrent use.
-//
-// Metrics with per-item precomputed state that a single mutation can
-// invalidate globally (Adamic–Adar's 1/ln|IPi|) do not implement it;
-// callers fall back to a full Prepare after each mutation batch.
-type Incremental interface {
-	Metric
-	PrepareIncremental(d *dataset.Dataset) (fn Func, refresh func(u uint32))
 }
 
 // Counted wraps fn so every evaluation increments evals. The counter is
@@ -106,29 +107,40 @@ type Cosine struct{}
 func (Cosine) Name() string { return "cosine" }
 
 // Prepare implements Metric; it precomputes every user's profile norm.
-func (Cosine) Prepare(d *dataset.Dataset) Func {
-	users := d.Users
-	norms := make([]float64, len(users))
-	for i, u := range users {
-		norms[i] = sparse.Norm(u)
+func (Cosine) Prepare(d *dataset.Dataset) Binding {
+	st := &cosineState{d: d, norms: make([]float64, len(d.Users))}
+	for i, u := range d.Users {
+		st.norms[i] = sparse.Norm(u)
 	}
-	return func(u, v uint32) float64 {
-		nu, nv := norms[u], norms[v]
-		if nu == 0 || nv == 0 {
-			return 0
-		}
-		return sparse.Dot(users[u], users[v]) / (nu * nv)
+	return Binding{
+		Pair:    st.pair,
+		Batch:   func() Batcher { return &cosineBatcher{st: st} },
+		Refresh: st.refresh,
 	}
 }
 
-// PrepareIncremental implements Incremental: the norm cache is grown (in
-// a single step, even for ID jumps) and patched per refreshed user, and
-// profiles are re-read through d so appends (which may reallocate
-// d.Users) are observed. The state is shared with the batch kernels; see
-// cosineState in batch.go.
-func (Cosine) PrepareIncremental(d *dataset.Dataset) (Func, func(uint32)) {
-	st := newCosineState(d)
-	return st.pair, st.refresh
+// cosineState is cosine's binding: the profile source and the norm
+// cache.
+type cosineState struct {
+	d     *dataset.Dataset
+	norms []float64
+}
+
+// refresh re-derives u's cached norm, growing the cache in one step for
+// appended users (even past an ID jump).
+func (st *cosineState) refresh(u uint32) {
+	if n := int(u) + 1; n > len(st.norms) {
+		st.norms = append(st.norms, make([]float64, n-len(st.norms))...)
+	}
+	st.norms[u] = sparse.Norm(st.d.Users[u])
+}
+
+func (st *cosineState) pair(u, v uint32) float64 {
+	nu, nv := st.norms[u], st.norms[v]
+	if nu == 0 || nv == 0 {
+		return 0
+	}
+	return sparse.Dot(st.d.Users[u], st.d.Users[v]) / (nu * nv)
 }
 
 // Jaccard is Jaccard's coefficient |A∩B| / |A∪B| over the profile item
@@ -140,13 +152,7 @@ type Jaccard struct{}
 func (Jaccard) Name() string { return "jaccard" }
 
 // Prepare implements Metric.
-func (Jaccard) Prepare(d *dataset.Dataset) Func { return jaccardForm.prepare(d) }
-
-// PrepareIncremental implements Incremental; Jaccard keeps no per-user
-// state, so refreshing is free and only the profile re-read matters.
-func (Jaccard) PrepareIncremental(d *dataset.Dataset) (Func, func(uint32)) {
-	return jaccardForm.prepareIncremental(d)
-}
+func (Jaccard) Prepare(d *dataset.Dataset) Binding { return jaccardForm.bind(d) }
 
 // AdamicAdar is the Adamic–Adar coefficient Σ_{i∈A∩B} 1/ln|IPi|: shared
 // rare items weigh more than shared popular ones. It is one of the three
@@ -158,29 +164,61 @@ type AdamicAdar struct{}
 func (AdamicAdar) Name() string { return "adamic-adar" }
 
 // Prepare implements Metric; it precomputes 1/ln|IPi| per item.
-func (AdamicAdar) Prepare(d *dataset.Dataset) Func {
+func (AdamicAdar) Prepare(d *dataset.Dataset) Binding {
 	d.EnsureItemProfiles()
-	users := d.Users
-	invLog := invLogTable(d)
-	return func(u, v uint32) float64 {
-		var s float64
-		a, b := users[u], users[v]
-		i, j := 0, 0
-		for i < len(a.IDs) && j < len(b.IDs) {
-			ai, bj := a.IDs[i], b.IDs[j]
-			switch {
-			case ai == bj:
-				s += invLog[ai]
-				i++
-				j++
-			case ai < bj:
-				i++
-			default:
-				j++
-			}
-		}
-		return s
+	st := &adamicState{d: d, invLog: make([]float64, len(d.Items))}
+	for i, ip := range d.Items {
+		st.invLog[i] = invLogDegree(len(ip))
 	}
+	return Binding{
+		Pair:    st.pair,
+		Batch:   func() Batcher { return &adamicBatcher{st: st} },
+		Refresh: st.refresh,
+	}
+}
+
+// adamicState is Adamic–Adar's binding: the profile source and the
+// per-item weight table. Readers load invLog through the state on every
+// call, because refresh may reallocate it.
+type adamicState struct {
+	d      *dataset.Dataset
+	invLog []float64
+}
+
+// refresh re-derives the weights of u's items. An item's degree |IPi|
+// only changes when a user gains it — through AddUser, or AddRating of an
+// item the user did not hold — and that user is the one being refreshed,
+// so patching its items (after growing the table to the item space; new
+// items nobody else holds weigh 0) leaves exactly the table a fresh
+// Prepare would build.
+func (st *adamicState) refresh(u uint32) {
+	if n := st.d.NumItems(); n > len(st.invLog) {
+		st.invLog = append(st.invLog, make([]float64, n-len(st.invLog))...)
+	}
+	for _, i := range st.d.Users[u].IDs {
+		st.invLog[i] = invLogDegree(len(st.d.Items[i]))
+	}
+}
+
+func (st *adamicState) pair(u, v uint32) float64 {
+	var s float64
+	a, b := st.d.Users[u], st.d.Users[v]
+	invLog := st.invLog
+	i, j := 0, 0
+	for i < len(a.IDs) && j < len(b.IDs) {
+		ai, bj := a.IDs[i], b.IDs[j]
+		switch {
+		case ai == bj:
+			s += invLog[ai]
+			i++
+			j++
+		case ai < bj:
+			i++
+		default:
+			j++
+		}
+	}
+	return s
 }
 
 // invLogDegree is an item's Adamic–Adar weight 1/ln|IPi| from its degree
@@ -193,15 +231,6 @@ func invLogDegree(n int) float64 {
 	return 1 / math.Log(float64(n))
 }
 
-// invLogTable precomputes every item's invLogDegree.
-func invLogTable(d *dataset.Dataset) []float64 {
-	invLog := make([]float64, len(d.Items))
-	for i, ip := range d.Items {
-		invLog[i] = invLogDegree(len(ip))
-	}
-	return invLog
-}
-
 // Overlap is the raw common-item count |A∩B| — the coarse metric KIFF's
 // counting phase uses implicitly. Exposed as a metric so the Fig 7
 // experiment can rank candidates by it directly.
@@ -211,12 +240,7 @@ type Overlap struct{}
 func (Overlap) Name() string { return "overlap" }
 
 // Prepare implements Metric.
-func (Overlap) Prepare(d *dataset.Dataset) Func { return overlapForm.prepare(d) }
-
-// PrepareIncremental implements Incremental; Overlap is stateless.
-func (Overlap) PrepareIncremental(d *dataset.Dataset) (Func, func(uint32)) {
-	return overlapForm.prepareIncremental(d)
-}
+func (Overlap) Prepare(d *dataset.Dataset) Binding { return overlapForm.bind(d) }
 
 // Dice is the Sørensen–Dice coefficient 2|A∩B| / (|A|+|B|).
 type Dice struct{}
@@ -225,12 +249,7 @@ type Dice struct{}
 func (Dice) Name() string { return "dice" }
 
 // Prepare implements Metric.
-func (Dice) Prepare(d *dataset.Dataset) Func { return diceForm.prepare(d) }
-
-// PrepareIncremental implements Incremental; Dice is stateless.
-func (Dice) PrepareIncremental(d *dataset.Dataset) (Func, func(uint32)) {
-	return diceForm.prepareIncremental(d)
-}
+func (Dice) Prepare(d *dataset.Dataset) Binding { return diceForm.bind(d) }
 
 // countForm is the one definition of a set-based metric (Jaccard,
 // Overlap, Dice): its value from the shared-item count |A∩B| and the two
@@ -256,19 +275,16 @@ func (f countForm) of(common, lenA, lenB int) float64 {
 	return f(common, lenA, lenB)
 }
 
-func (f countForm) prepare(d *dataset.Dataset) Func {
-	users := d.Users
-	return func(u, v uint32) float64 {
-		a, b := users[u], users[v]
-		return f.of(sparse.CommonCount(a, b), a.Len(), b.Len())
-	}
-}
-
-// prepareIncremental re-reads profiles through d, so appends (which may
-// reallocate d.Users) are observed; there is no per-user state to refresh.
-func (f countForm) prepareIncremental(d *dataset.Dataset) (Func, func(uint32)) {
-	return func(u, v uint32) float64 {
+// bind is the count forms' Prepare. They keep no state, so Refresh has
+// nothing to do: re-reading profiles through d is all an append needs.
+func (f countForm) bind(d *dataset.Dataset) Binding {
+	pair := func(u, v uint32) float64 {
 		a, b := d.Users[u], d.Users[v]
 		return f.of(sparse.CommonCount(a, b), a.Len(), b.Len())
-	}, func(uint32) {}
+	}
+	return Binding{
+		Pair:    pair,
+		Batch:   func() Batcher { return &countBatcher{d: d, form: f, pair: pair} },
+		Refresh: func(uint32) {},
+	}
 }

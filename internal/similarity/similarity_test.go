@@ -30,7 +30,7 @@ func weightedDataset(t *testing.T) *dataset.Dataset {
 }
 
 func TestCosineBinary(t *testing.T) {
-	f := Cosine{}.Prepare(testDataset(t))
+	f := Cosine{}.Prepare(testDataset(t)).Pair
 	// users 0,1 share item 1: 1/sqrt(2*2) = 0.5
 	if got := f(0, 1); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("cosine(0,1) = %v, want 0.5", got)
@@ -46,7 +46,7 @@ func TestCosineBinary(t *testing.T) {
 }
 
 func TestCosineWeighted(t *testing.T) {
-	f := Cosine{}.Prepare(weightedDataset(t))
+	f := Cosine{}.Prepare(weightedDataset(t)).Pair
 	// identical profiles → 1
 	if got := f(0, 1); math.Abs(got-1) > 1e-12 {
 		t.Errorf("cosine of identical profiles = %v, want 1", got)
@@ -58,7 +58,7 @@ func TestCosineWeighted(t *testing.T) {
 }
 
 func TestJaccard(t *testing.T) {
-	f := Jaccard{}.Prepare(testDataset(t))
+	f := Jaccard{}.Prepare(testDataset(t)).Pair
 	// users 0,1: |∩|=1, |∪|=3
 	if got := f(0, 1); math.Abs(got-1.0/3) > 1e-12 {
 		t.Errorf("jaccard(0,1) = %v, want 1/3", got)
@@ -74,7 +74,7 @@ func TestJaccard(t *testing.T) {
 
 func TestAdamicAdar(t *testing.T) {
 	d := testDataset(t)
-	f := AdamicAdar{}.Prepare(d)
+	f := AdamicAdar{}.Prepare(d).Pair
 	// item 1 is rated by users 0,1,3 → |IP|=3. share between 0 and 1 = item 1.
 	want := 1 / math.Log(3)
 	if got := f(0, 1); math.Abs(got-want) > 1e-12 {
@@ -91,7 +91,7 @@ func TestAdamicAdar(t *testing.T) {
 }
 
 func TestOverlap(t *testing.T) {
-	f := Overlap{}.Prepare(testDataset(t))
+	f := Overlap{}.Prepare(testDataset(t)).Pair
 	if got := f(0, 3); got != 2 {
 		t.Errorf("overlap(0,3) = %v, want 2", got)
 	}
@@ -101,7 +101,7 @@ func TestOverlap(t *testing.T) {
 }
 
 func TestDice(t *testing.T) {
-	f := Dice{}.Prepare(testDataset(t))
+	f := Dice{}.Prepare(testDataset(t)).Pair
 	// 0 vs 3: 2*2/(2+3)
 	if got := f(0, 3); math.Abs(got-0.8) > 1e-12 {
 		t.Errorf("dice(0,3) = %v, want 0.8", got)
@@ -119,7 +119,7 @@ func TestAllMetricsSymmetricAndPaperProperties(t *testing.T) {
 			t.Fatalf("ByName(%s): %v", name, err)
 		}
 		for _, d := range []*dataset.Dataset{testDataset(t), weightedDataset(t)} {
-			f := m.Prepare(d)
+			f := m.Prepare(d).Pair
 			n := uint32(d.NumUsers())
 			for u := uint32(0); u < n; u++ {
 				for v := uint32(0); v < n; v++ {
@@ -169,7 +169,7 @@ func TestByNameAliases(t *testing.T) {
 
 func TestCounted(t *testing.T) {
 	var evals atomic.Int64
-	f := Counted(Cosine{}.Prepare(testDataset(t)), &evals)
+	f := Counted(Cosine{}.Prepare(testDataset(t)).Pair, &evals)
 	f(0, 1)
 	f(0, 2)
 	f(1, 3)
@@ -183,7 +183,7 @@ func TestCosineEmptyProfileIsZero(t *testing.T) {
 		{},
 		{0: 1},
 	}, true)
-	f := Cosine{}.Prepare(d)
+	f := Cosine{}.Prepare(d).Pair
 	if got := f(0, 1); got != 0 {
 		t.Errorf("cosine with empty profile = %v, want 0 (no NaN)", got)
 	}

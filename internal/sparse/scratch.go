@@ -3,8 +3,8 @@ package sparse
 import "math"
 
 // Scratch is an epoch-stamped dense accumulator over an ID space, the
-// backing store of the one-vs-many similarity kernels (similarity.
-// BatchMetric). A pivot profile is scattered once — each of its IDs
+// backing store of the one-vs-many similarity kernels (the Batch of a
+// similarity.Binding). A pivot profile is scattered once — each of its IDs
 // stamped with the current epoch and, optionally, a weight — and every
 // candidate is then scored with a single gather over the candidate's own
 // profile: an ID is shared iff its stamp matches the current epoch. This

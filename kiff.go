@@ -161,14 +161,19 @@ type Options struct {
 	Sweeps int
 }
 
-// engineOptions maps the facade options onto the engine's shared set.
-// The metric name is resolved here so unknown names fail fast.
-func (o Options) engineOptions() (engine.Options, error) {
-	metricName := o.Metric
-	if metricName == "" {
-		metricName = "cosine"
+// metric resolves Options.Metric: "" selects cosine, the paper's
+// default, and aliases resolve to their canonical metric. Unknown names
+// fail here, before any work starts.
+func (o Options) metric() (similarity.Metric, error) {
+	if o.Metric == "" {
+		return similarity.Cosine{}, nil
 	}
-	metric, err := similarity.ByName(metricName)
+	return similarity.ByName(o.Metric)
+}
+
+// engineOptions maps the facade options onto the engine's shared set.
+func (o Options) engineOptions() (engine.Options, error) {
+	metric, err := o.metric()
 	if err != nil {
 		return engine.Options{}, err
 	}
@@ -224,11 +229,7 @@ func Recall(d *Dataset, g *Graph, opts Options, sampleSize int) (float64, error)
 		return 0, fmt.Errorf("kiff: recall: graph covers %d users, dataset has %d (was the graph built/saved from a different dataset?)",
 			g.NumUsers(), d.NumUsers())
 	}
-	metricName := opts.Metric
-	if metricName == "" {
-		metricName = "cosine"
-	}
-	metric, err := similarity.ByName(metricName)
+	metric, err := opts.metric()
 	if err != nil {
 		return 0, err
 	}
@@ -383,11 +384,7 @@ type Index = core.Index
 // search and classification workloads of the paper's introduction —
 // touching only users that share at least one item with the query.
 func NewIndex(d *Dataset, opts Options) (*Index, error) {
-	metricName := opts.Metric
-	if metricName == "" {
-		metricName = "cosine"
-	}
-	metric, err := similarity.ByName(metricName)
+	metric, err := opts.metric()
 	if err != nil {
 		return nil, err
 	}
@@ -399,11 +396,7 @@ func NewIndex(d *Dataset, opts Options) (*Index, error) {
 // is O(1); the index answers exactly like NewIndex over the dataset the
 // view was published from.
 func NewViewIndex(v *DatasetView, opts Options) (*Index, error) {
-	metricName := opts.Metric
-	if metricName == "" {
-		metricName = "cosine"
-	}
-	metric, err := similarity.ByName(metricName)
+	metric, err := opts.metric()
 	if err != nil {
 		return nil, err
 	}

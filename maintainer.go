@@ -51,18 +51,13 @@ type Maintainer struct {
 	opts  engine.Options
 	heaps *knnheap.Set
 	sets  *rcs.Sets
-	// sim is the evaluation-counted similarity function; refresh patches
-	// its precomputed state per mutated user when the metric supports
-	// incremental preparation (similarity.Incremental), in which case
-	// mutations cost O(changed profile) instead of a full O(|U|)
-	// re-preparation. batch is the one-vs-many counterpart
-	// (similarity.IncrementalBatch shares refresh's state with it);
-	// kernel is the lazily minted single-writer scoring kernel.
-	sim     similarity.Func
-	batch   similarity.BatchFactory
+	// kernel is the evaluation-counted one-vs-many kernel over the
+	// metric's binding to d, and refresh is that binding's Refresh: it
+	// patches the prepared state (norms, item weights) per mutated user,
+	// so a mutation costs O(changed profile), not a full O(|U|)
+	// re-preparation.
 	kernel  similarity.Batcher
 	refresh func(uint32)
-	simOK   bool
 	evals   atomic.Int64
 	run     runstats.Run
 	dirty   map[uint32]struct{}
@@ -138,21 +133,7 @@ func NewMaintainer(d *Dataset, opts Options) (*Maintainer, error) {
 	if eo.MinRating > 0 && d.Binary() {
 		eo.MinRating = 0
 	}
-	m := &Maintainer{
-		d:     d,
-		opts:  eo,
-		heaps: res.Heaps,
-		sets:  rcs.NewSets(d.NumUsers()),
-		dirty: make(map[uint32]struct{}),
-		run: runstats.Run{
-			Algorithm: "kiff-maintain",
-			NumUsers:  d.NumUsers(),
-			K:         eo.K,
-		},
-	}
-	m.bindMetric()
-	m.publish()
-	return m, nil
+	return newMaintainer(d, eo, res.Heaps, res.Binding), nil
 }
 
 // NewMaintainerFromGraph wraps an already-built graph — typically one
@@ -212,21 +193,29 @@ func NewMaintainerFromGraph(d *Dataset, g *Graph, opts Options) (*Maintainer, er
 			heaps.Update(uint32(u), nb.ID, nb.Sim)
 		}
 	}
+	return newMaintainer(d, eo, heaps, eo.Metric.Prepare(d)), nil
+}
+
+// newMaintainer is the constructors' shared tail: it wraps the heaps
+// and the metric's binding to d (the cold build's own, or a fresh one)
+// and publishes the first snapshot.
+func newMaintainer(d *Dataset, eo engine.Options, heaps *knnheap.Set, b similarity.Binding) *Maintainer {
 	m := &Maintainer{
-		d:     d,
-		opts:  eo,
-		heaps: heaps,
-		sets:  rcs.NewSets(n),
-		dirty: make(map[uint32]struct{}),
+		d:       d,
+		opts:    eo,
+		heaps:   heaps,
+		sets:    rcs.NewSets(d.NumUsers()),
+		refresh: b.Refresh,
+		dirty:   make(map[uint32]struct{}),
 		run: runstats.Run{
 			Algorithm: "kiff-maintain",
-			NumUsers:  n,
+			NumUsers:  d.NumUsers(),
 			K:         eo.K,
 		},
 	}
-	m.bindMetric()
+	m.kernel = similarity.CountedBatch(b.Batch, &m.evals)()
 	m.publish()
-	return m, nil
+	return m
 }
 
 // publish freezes the current graph and dataset into a new Snapshot and
@@ -276,68 +265,6 @@ func (m *Maintainer) rcsOpts() rcs.BuildOptions {
 	return rcs.BuildOptions{MinRating: m.opts.MinRating}
 }
 
-// bindMetric establishes the incremental similarity binding when the
-// metric supports one: IncrementalBatch metrics bind the pairwise
-// function and the one-vs-many factory over shared refreshable state;
-// plain Incremental metrics bind the pairwise side only. Metrics with
-// neither (Adamic–Adar) stay unbound and are fully re-prepared by
-// simFunc after each mutation batch.
-func (m *Maintainer) bindMetric() {
-	switch inc := m.opts.Metric.(type) {
-	case similarity.IncrementalBatch:
-		fn, batch, refresh := inc.PrepareIncrementalBatch(m.d)
-		m.sim = similarity.Counted(fn, &m.evals)
-		m.batch = similarity.CountedBatch(batch, &m.evals)
-		m.refresh = refresh
-		m.simOK = true
-	case similarity.Incremental:
-		fn, refresh := inc.PrepareIncremental(m.d)
-		m.sim = similarity.Counted(fn, &m.evals)
-		m.refresh = refresh
-		m.simOK = true
-	}
-}
-
-// simFunc returns the prepared, evaluation-counted similarity function.
-// Incremental metrics were bound once at construction and are patched
-// per mutation via refresh; for the rest (Adamic–Adar), a mutation marks
-// the binding stale and this re-prepares in full — prepared metrics
-// capture profile slices and precomputed state that mutations invalidate.
-func (m *Maintainer) simFunc() similarity.Func {
-	if !m.simOK {
-		m.sim = similarity.Counted(m.opts.Metric.Prepare(m.d), &m.evals)
-		if bm, ok := m.opts.Metric.(similarity.BatchMetric); ok {
-			m.batch = similarity.CountedBatch(bm.PrepareBatch(m.d), &m.evals)
-			m.kernel = nil // minted over the stale binding; remint lazily
-		}
-		m.simOK = true
-	}
-	return m.sim
-}
-
-// batcher returns the single-writer one-vs-many kernel over the current
-// binding, minting it lazily (and re-minting after full re-preparations).
-func (m *Maintainer) batcher() similarity.Batcher {
-	m.simFunc()
-	if m.batch == nil {
-		return similarity.PairwiseBatcher(m.sim)
-	}
-	if m.kernel == nil {
-		m.kernel = m.batch()
-	}
-	return m.kernel
-}
-
-// noteMutation updates the similarity binding after user u's profile
-// changed (or u was appended).
-func (m *Maintainer) noteMutation(u uint32) {
-	if m.refresh != nil {
-		m.refresh(u)
-		return
-	}
-	m.simOK = false
-}
-
 // Insert appends a new user with the given profile, splices it into the
 // graph, and returns its ID. Only the new user's ranked candidates are
 // evaluated; see the type comment for the cost model.
@@ -362,7 +289,7 @@ func (m *Maintainer) Insert(p Profile) (uint32, error) {
 	}
 	m.heaps.Grow(1)
 	m.sets.PatchUser(m.d, id, m.rcsOpts())
-	m.noteMutation(id)
+	m.refresh(id)
 	m.refineUser(id)
 	m.inserts++
 	m.run.NumUsers = m.d.NumUsers()
@@ -408,7 +335,7 @@ func (m *Maintainer) InsertBatch(ps []Profile) ([]uint32, error) {
 			return ids, fmt.Errorf("kiff: insert batch: %w", err)
 		}
 		m.sets.PatchUser(m.d, id, m.rcsOpts())
-		m.noteMutation(id)
+		m.refresh(id)
 		m.refineUser(id)
 		m.inserts++
 		ids = append(ids, id)
@@ -439,7 +366,7 @@ func (m *Maintainer) AddRating(u uint32, item uint32, rating float64) error {
 	if err := m.d.AddRating(u, item, rating); err != nil {
 		return err
 	}
-	m.noteMutation(u)
+	m.refresh(u)
 	m.dirty[u] = struct{}{}
 	return nil
 }
@@ -584,7 +511,6 @@ func (m *Maintainer) evictStale(order []uint32) {
 // nothing (the per-user analogue of the β threshold: ranked order means
 // later candidates are ever less likely to displace anything).
 func (m *Maintainer) refineUser(u uint32) {
-	kernel := m.batcher()
 	for iter := 0; ; iter++ {
 		cs := m.sets.TopPop(u, m.opts.Gamma)
 		if len(cs) == 0 {
@@ -594,7 +520,7 @@ func (m *Maintainer) refineUser(u uint32) {
 			m.scores = make([]float64, len(cs))
 		}
 		scores := m.scores[:len(cs)]
-		kernel.ScoreInto(scores, u, cs)
+		m.kernel.ScoreInto(scores, u, cs)
 		var changes int64
 		for i, v := range cs {
 			changes += int64(m.heaps.Update(u, v, scores[i]))

@@ -101,8 +101,10 @@ func NewShardedMaintainer(d *Dataset, shards int, opts Options) (*ShardedMaintai
 // shard's graph and dataset are heap-loaded, and each shard is seeded
 // with NewMaintainerFromGraph (no reconstruction). Options applies per
 // shard as in NewMaintainerFromGraph — in particular K = 0 adopts the
-// checkpoint's k, and Metric must match the metric the graphs were
-// maintained under for the resumed similarities to stay meaningful.
+// checkpoint's k, and Metric = "" adopts the metric the manifest
+// records; naming another metric is an error, because the resumed
+// similarities would mix two metrics. (A manifest written before the
+// metric was recorded takes Options.Metric as given, "" meaning cosine.)
 // The pool's OpenWAL replays each shard's log above the horizon the
 // manifest recorded.
 func LoadShardedMaintainer(dir string, opts Options) (*ShardedMaintainer, error) {
@@ -121,7 +123,11 @@ func LoadShardedMaintainerMapped(dir string, opts Options) (*ShardedMaintainer, 
 }
 
 func loadShardedMaintainer(dir string, opts Options, mapped bool) (*ShardedMaintainer, error) {
-	return shard.Load(dir, func(gpath, dpath string) (shard.Maintainer, error) {
+	man, opts, err := readCheckpoint(dir, opts)
+	if err != nil {
+		return nil, err
+	}
+	return shard.Load(dir, man, func(gpath, dpath string) (shard.Maintainer, error) {
 		g, d, closeGraph, err := loadPair(gpath, dpath, mapped)
 		if err != nil {
 			return nil, err
@@ -143,15 +149,43 @@ func loadShardedMaintainer(dir string, opts Options, mapped bool) (*ShardedMaint
 // loaded (memory-mapped when mapped is set, and then never unmapped) and
 // wrapped in a static Snapshot (NewSnapshot), and the View is pinned
 // over them — no Maintainer, no writer. Options supplies the query
-// metric, as in NewSnapshot.
+// metric, as in NewSnapshot, and is reconciled with the metric the
+// manifest records as in LoadShardedMaintainer.
 func LoadShardedView(dir string, opts Options, mapped bool) (*shard.View, error) {
-	return shard.LoadView(dir, func(gpath, dpath string) (shard.Reader, error) {
+	man, opts, err := readCheckpoint(dir, opts)
+	if err != nil {
+		return nil, err
+	}
+	return shard.LoadView(dir, man, func(gpath, dpath string) (shard.Reader, error) {
 		g, d, _, err := loadPair(gpath, dpath, mapped)
 		if err != nil {
 			return nil, err
 		}
 		return NewSnapshot(g, d, opts)
 	})
+}
+
+// readCheckpoint reads dir's manifest and settles the metric the
+// checkpoint is served under: the one the manifest records, which
+// Options.Metric may name (under any alias) but not contradict; ""
+// adopts it. A manifest without a metric leaves Options as given.
+func readCheckpoint(dir string, opts Options) (shard.Manifest, Options, error) {
+	man, err := shard.ReadManifest(dir)
+	if err != nil || man.Metric == "" {
+		return man, opts, err
+	}
+	if opts.Metric != "" {
+		metric, err := opts.metric()
+		if err != nil {
+			return man, opts, err
+		}
+		if metric.Name() != man.Metric {
+			return man, opts, fmt.Errorf("kiff: checkpoint %s was maintained under metric %q, not %q (omit the metric to adopt the checkpoint's)",
+				dir, man.Metric, opts.Metric)
+		}
+	}
+	opts.Metric = man.Metric
+	return man, opts, nil
 }
 
 // loadPair loads one shard's graph and dataset files, through the heap

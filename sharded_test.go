@@ -1,12 +1,14 @@
 package kiff
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -453,6 +455,129 @@ func TestLoadShardedMaintainerRejectsTampering(t *testing.T) {
 	}
 	if _, err := LoadShardedMaintainer(dir, Options{}); err == nil {
 		t.Fatal("LoadShardedMaintainer must reject shard files from a different population")
+	}
+}
+
+// TestShardedCheckpointRecordsMetric: a pool checkpoint records the
+// metric its graphs were maintained under. Every loader adopts it when
+// Options.Metric is empty, accepts it named again (under any alias), and
+// refuses another metric with an error naming both — serving a jaccard
+// graph under cosine would answer queries in one metric and neighbor
+// lists in the other. A manifest without the field, as older releases
+// wrote, keeps loading under the caller's metric.
+func TestShardedCheckpointRecordsMetric(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	d := randShardDataset(rng, 40)
+	queries := make([]Profile, 6)
+	for i := range queries {
+		queries[i] = randQuery(rng, d)
+	}
+	answers := func(v *shard.View) string {
+		t.Helper()
+		var sb strings.Builder
+		for _, q := range queries {
+			res, err := v.Query(q, 5, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintln(&sb, res)
+		}
+		return sb.String()
+	}
+	cosineIx, err := NewIndex(d, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cosine strings.Builder
+	for _, q := range queries {
+		res, err := cosineIx.Query(q, 5, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintln(&cosine, res)
+	}
+
+	for _, tc := range []struct{ metric, alias string }{{"jaccard", "jaccard"}, {"adamic-adar", "adamicadar"}} {
+		pool, err := NewShardedMaintainer(d, 2, Options{K: 4, Metric: tc.metric})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := answers(pool.View())
+		if want == cosine.String() {
+			t.Fatalf("%s: fixture answers equal cosine's; the test cannot tell the metrics apart", tc.metric)
+		}
+		dir := t.TempDir()
+		if err := pool.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		loaders := []struct {
+			name string
+			load func(Options) (*shard.View, error)
+		}{
+			{"heap", func(o Options) (*shard.View, error) {
+				p, err := LoadShardedMaintainer(dir, o)
+				if err != nil {
+					return nil, err
+				}
+				return p.View(), nil
+			}},
+			{"mapped", func(o Options) (*shard.View, error) {
+				p, err := LoadShardedMaintainerMapped(dir, o)
+				if err != nil {
+					return nil, err
+				}
+				return p.View(), nil
+			}},
+			{"view", func(o Options) (*shard.View, error) { return LoadShardedView(dir, o, false) }},
+		}
+		for _, l := range loaders {
+			for _, metric := range []string{"", tc.alias} {
+				v, err := l.load(Options{Metric: metric})
+				if err != nil {
+					t.Fatalf("%s/%s: load with metric %q: %v", tc.metric, l.name, metric, err)
+				}
+				if got := answers(v); got != want {
+					t.Fatalf("%s/%s: load with metric %q answers\n%s\nwant\n%s", tc.metric, l.name, metric, got, want)
+				}
+			}
+			_, err := l.load(Options{Metric: "cosine"})
+			if err == nil || !strings.Contains(err.Error(), `"`+tc.metric+`"`) || !strings.Contains(err.Error(), `"cosine"`) {
+				t.Fatalf("%s/%s: load with metric cosine: err = %v, want a refusal naming %q and \"cosine\"", tc.metric, l.name, err, tc.metric)
+			}
+		}
+
+		// An older release's manifest has no metric: the caller's applies.
+		path := filepath.Join(dir, shard.ManifestFile)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var man map[string]any
+		if err := json.Unmarshal(raw, &man); err != nil {
+			t.Fatal(err)
+		}
+		delete(man, "metric")
+		if raw, err = json.Marshal(man); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range loaders {
+			v, err := l.load(Options{Metric: tc.metric})
+			if err != nil {
+				t.Fatalf("%s/%s: old manifest: %v", tc.metric, l.name, err)
+			}
+			if got := answers(v); got != want {
+				t.Fatalf("%s/%s: old manifest under its own metric answers\n%s\nwant\n%s", tc.metric, l.name, got, want)
+			}
+			if v, err = l.load(Options{}); err != nil {
+				t.Fatalf("%s/%s: old manifest, no metric: %v", tc.metric, l.name, err)
+			}
+			if got := answers(v); got != cosine.String() {
+				t.Fatalf("%s/%s: old manifest with no metric answers\n%s\nwant cosine's\n%s", tc.metric, l.name, got, cosine.String())
+			}
+		}
 	}
 }
 

@@ -27,6 +27,7 @@ type Snapshot struct {
 	graph   *Graph
 	data    *DatasetView
 	index   *Index
+	metric  string
 }
 
 // Version returns the publication sequence number: 1 for the snapshot
@@ -39,6 +40,11 @@ func (s *Snapshot) NumUsers() int { return s.data.NumUsers() }
 
 // K returns the neighborhood size of the snapshot graph.
 func (s *Snapshot) K() int { return s.graph.K() }
+
+// Metric returns the canonical name of the similarity metric Query
+// scores with — for a published snapshot, the metric its Maintainer
+// maintains the graph under.
+func (s *Snapshot) Metric() string { return s.metric }
 
 // Graph returns the immutable KNN graph of the snapshot.
 func (s *Snapshot) Graph() *Graph { return s.graph }
@@ -89,11 +95,7 @@ func NewSnapshot(g *Graph, d *Dataset, opts Options) (*Snapshot, error) {
 		return nil, fmt.Errorf("kiff: snapshot: graph covers %d users, dataset has %d (was the graph saved from a different dataset?)",
 			g.NumUsers(), d.NumUsers())
 	}
-	metricName := opts.Metric
-	if metricName == "" {
-		metricName = "cosine"
-	}
-	metric, err := similarity.ByName(metricName)
+	metric, err := opts.metric()
 	if err != nil {
 		return nil, err
 	}
@@ -114,5 +116,6 @@ func newSnapshot(version uint64, g *knngraph.Graph, view *dataset.View, metric s
 		graph:   g,
 		data:    view,
 		index:   core.NewViewIndex(view, metric),
+		metric:  metric.Name(),
 	}
 }
