@@ -75,6 +75,7 @@ var benchTolerances = map[string]float64{
 	"snapshot-publish-full":        2.0,
 	"snapshot-publish-incremental": 3.0,
 	"snapshot-query":               2.0,
+	"snapshot-query-weighted":      2.0,
 	"insert-single":                2.0,
 	"maintainer-insert-wal":        2.5,
 	"insert-sharded":               2.5,
@@ -126,6 +127,7 @@ var validBenchNames = []string{
 	"rebuild-single",
 	"rebuild-sharded",
 	"snapshot-query",
+	"snapshot-query-weighted",
 }
 
 // benchFilter selects a subset of the named benches: nil/empty selects
@@ -163,9 +165,10 @@ func (f benchFilter) selects(name string) bool { return f == nil || f[name] }
 // compareAgainst checks the freshly measured report against a committed
 // baseline record: any bench present in both whose ns/op grew beyond
 // tolerance× the baseline is a regression. It prints the full delta table
-// to stderr and returns an error (→ nonzero exit) listing the
-// regressions, so CI can gate — or merely surface — construction-path
-// slowdowns against the committed BENCH_pr<N>.json trajectory.
+// to stderr, listing benches the baseline lacks as new, and returns an
+// error (→ nonzero exit) listing the regressions, so CI can gate — or
+// merely surface — construction-path slowdowns against the committed
+// BENCH_pr<N>.json trajectory.
 func compareAgainst(oldPath string, report benchReport, tolerance float64, stderr io.Writer) error {
 	raw, err := os.ReadFile(oldPath)
 	if err != nil {
@@ -183,6 +186,7 @@ func compareAgainst(oldPath string, report benchReport, tolerance float64, stder
 	for _, b := range report.Benches {
 		prev, ok := oldBy[b.Name]
 		if !ok || prev.NsPerOp <= 0 {
+			fmt.Fprintf(stderr, "kiffbench: compare %-18s %12s -> %12.0f ns/op  (new)\n", b.Name, "-", b.NsPerOp)
 			continue
 		}
 		// The baseline's per-bench tolerance wins over the global flag:
@@ -239,7 +243,7 @@ func runBenchOut(path string, opts benchOptions, stderr io.Writer) error {
 		Schema:  "kiff/bench/v1",
 		Go:      runtime.Version(),
 		Arch:    runtime.GOOS + "/" + runtime.GOARCH,
-		Dataset: fmt.Sprintf("wikipedia scale=0.05 seed=3 k=%d (publish benches: scale=0.2; construction benches: scale=0.5)", k),
+		Dataset: fmt.Sprintf("wikipedia scale=0.05 seed=3 k=%d (publish benches: scale=0.2; construction benches: scale=0.5; snapshot-query-weighted: gowalla scale=0.1 k=20)", k),
 	}
 	filter, err := parseBenchFilter(opts.Names)
 	if err != nil {
@@ -629,6 +633,24 @@ func runBenchOut(path string, opts benchOptions, stderr io.Writer) error {
 		}
 	})
 
+	// The weighted query path: an exact cosine query over gowalla's visit
+	// counts, for a user's profile with every third item dropped. The
+	// fixture is built once, outside the timed closure.
+	if filter.selects("snapshot-query-weighted") {
+		s, profile, err := weightedQueryFixture()
+		if err != nil {
+			return err
+		}
+		add("snapshot-query-weighted", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Query(profile, 20, -1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+
 	out, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
@@ -691,6 +713,37 @@ func measureIncrementalPublish(m *kiff.Maintainer, d *kiff.Dataset) (benchResult
 		PagesCopiedPerOp: float64(after.PagesCopied-before.PagesCopied) / float64(pubs),
 		PagesSharedPerOp: float64(after.PagesShared-before.PagesShared) / float64(pubs),
 	}, nil
+}
+
+// weightedQueryFixture builds the snapshot-query-weighted fixture: a k=20
+// snapshot over gowalla at scale 0.1, and as the query the first profile
+// of at least 16 items with every third item dropped.
+func weightedQueryFixture() (*kiff.Snapshot, kiff.Profile, error) {
+	gw, err := dataset.Gowalla.Generate(0.1, 3)
+	if err != nil {
+		return nil, kiff.Profile{}, err
+	}
+	g, err := kiff.Build(gw, kiff.Options{K: 20})
+	if err != nil {
+		return nil, kiff.Profile{}, err
+	}
+	s, err := kiff.NewSnapshot(g.Graph, gw, kiff.Options{K: 20})
+	if err != nil {
+		return nil, kiff.Profile{}, err
+	}
+	var profile kiff.Profile
+	for _, p := range gw.Users {
+		if p.Len() >= 16 {
+			for i, id := range p.IDs {
+				if i%3 != 2 {
+					profile.IDs = append(profile.IDs, id)
+					profile.Weights = append(profile.Weights, p.Weight(i))
+				}
+			}
+			break
+		}
+	}
+	return s, profile, nil
 }
 
 // findBench returns the named result from the report, or nil.

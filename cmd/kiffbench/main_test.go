@@ -185,3 +185,30 @@ func TestComparePerBenchTolerance(t *testing.T) {
 		t.Errorf("regression list %v must flag only the stable bench", err)
 	}
 }
+
+// TestCompareReportsNewBenches: a bench the baseline lacks is listed as
+// new in the delta table, never gated and never dropped silently.
+func TestCompareReportsNewBenches(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "base.json")
+	if err := os.WriteFile(base, []byte(`{"schema":"kiff/bench/v1","benches":[
+		{"name":"old","ns_per_op":100}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	report := benchReport{Benches: []benchResult{
+		{Name: "old", NsPerOp: 100},
+		{Name: "fresh", NsPerOp: 1e9},
+	}}
+	var errOut bytes.Buffer
+	if err := compareAgainst(base, report, 1.5, &errOut); err != nil {
+		t.Fatalf("a bench without a baseline must not regress: %v", err)
+	}
+	var line string
+	for _, l := range strings.Split(errOut.String(), "\n") {
+		if strings.Contains(l, "fresh") {
+			line = l
+		}
+	}
+	if !strings.HasSuffix(line, "(new)") {
+		t.Fatalf("delta table must list the unbaselined bench as new:\n%s", errOut.String())
+	}
+}

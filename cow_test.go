@@ -9,6 +9,7 @@ package kiff
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -41,11 +42,45 @@ func graphBytes(t testing.TB, g *Graph) []byte {
 	return buf.Bytes()
 }
 
+// queryAll answers every probe through s, exactly, at k = 5.
+func queryAll(t *testing.T, s interface {
+	Query(Profile, int, int) ([]Neighbor, error)
+}, probes []Profile) [][]Neighbor {
+	t.Helper()
+	out := make([][]Neighbor, len(probes))
+	for i, q := range probes {
+		res, err := s.Query(q, 5, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = res
+	}
+	return out
+}
+
+// requireSameAnswers asserts two answer sets agree in IDs and similarity
+// bits.
+func requireSameAnswers(t *testing.T, what string, got, want [][]Neighbor) {
+	t.Helper()
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("%s: probe %d returned %d results, want %d", what, i, len(got[i]), len(want[i]))
+		}
+		for j := range want[i] {
+			if got[i][j].ID != want[i][j].ID || math.Float64bits(got[i][j].Sim) != math.Float64bits(want[i][j].Sim) {
+				t.Fatalf("%s: probe %d result %d: %v, want %v", what, i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+}
+
 // checkSnapshotMatchesScratch asserts that the published snapshot equals
 // a from-scratch export of the maintainer's live state: identical KFG1
 // bytes (which pins neighbor membership, order and similarity bits) and
 // identical query answers through the snapshot's O(1) view index versus
-// a fresh index over the live dataset.
+// an index over a dataset rebuilt from clones of the live profiles — an
+// independent reference, since the live dataset's incrementally
+// maintained item rows and norms are the ones the view shares.
 func checkSnapshotMatchesScratch(t *testing.T, m *Maintainer, opts Options, rng *rand.Rand, items int) {
 	t.Helper()
 	// Quiesce: ratings recorded since the last publication are not in any
@@ -75,27 +110,24 @@ func checkSnapshotMatchesScratch(t *testing.T, m *Maintainer, opts Options, rng 
 			t.Fatalf("version %d: view profile of user %d diverges from live", s.Version(), u)
 		}
 	}
-	q := randomProfile(rng, items)
-	gotRes, err := s.Query(q, 5, -1)
+	profiles := make([]Profile, live.NumUsers())
+	for u, p := range live.Users {
+		profiles[u] = p.Clone()
+	}
+	fresh, err := dataset.New("fresh", profiles, live.NumItems())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := NewIndex(live, opts)
+	ix, err := NewIndex(fresh, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRes, err := ix.Query(q, 5, -1)
-	if err != nil {
-		t.Fatal(err)
+	probes := make([]Profile, 8)
+	for i := range probes {
+		probes[i] = randomProfile(rng, items)
 	}
-	if len(gotRes) != len(wantRes) {
-		t.Fatalf("version %d: snapshot query returned %d results, fresh index %d", s.Version(), len(gotRes), len(wantRes))
-	}
-	for i := range wantRes {
-		if gotRes[i].ID != wantRes[i].ID || gotRes[i].Sim != wantRes[i].Sim {
-			t.Fatalf("version %d: query result %d: snapshot %v, fresh index %v", s.Version(), i, gotRes[i], wantRes[i])
-		}
-	}
+	requireSameAnswers(t, fmt.Sprintf("version %d: snapshot vs fresh index", s.Version()),
+		queryAll(t, s, probes), queryAll(t, ix, probes))
 }
 
 // TestCOWMutationStream drives a seeded random mutation stream through a
@@ -104,7 +136,8 @@ func checkSnapshotMatchesScratch(t *testing.T, m *Maintainer, opts Options, rng 
 // every published snapshot against a from-scratch export, while a
 // concurrent reader hammers the publication pointer (the -race target of
 // CI's race job). A mid-stream snapshot is pinned and must stay
-// bit-identical after every later publication. The populations span two
+// bit-identical after every later publication, and must keep answering a
+// fixed probe set exactly as it did when pinned. The populations span two
 // pages and eleven: on the larger one most publications replace pages
 // that are only partly dirty, whose clean rows stay shared with snapshots
 // published many versions earlier.
@@ -169,6 +202,12 @@ func TestCOWMutationStream(t *testing.T) {
 
 			var pinned *Snapshot
 			var pinnedBytes []byte
+			var pinnedAnswers [][]Neighbor
+			pr := rand.New(rand.NewSource(tc.seed + 2000))
+			probes := make([]Profile, 16)
+			for i := range probes {
+				probes[i] = randomProfile(pr, items)
+			}
 			for step := 0; step < 60; step++ {
 				switch rng.Intn(4) {
 				case 0:
@@ -191,6 +230,7 @@ func TestCOWMutationStream(t *testing.T) {
 				if step == 20 {
 					pinned = m.Snapshot()
 					pinnedBytes = graphBytes(t, pinned.Graph())
+					pinnedAnswers = queryAll(t, pinned, probes)
 				}
 			}
 			if err := m.Rebuild(nil); err != nil {
@@ -208,6 +248,7 @@ func TestCOWMutationStream(t *testing.T) {
 			if err := pinned.Dataset().Validate(); err != nil {
 				t.Fatalf("pinned snapshot's view became invalid: %v", err)
 			}
+			requireSameAnswers(t, "pinned snapshot after later publications", queryAll(t, pinned, probes), pinnedAnswers)
 		})
 	}
 }

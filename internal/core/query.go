@@ -25,11 +25,12 @@ import (
 // with an unlimited budget the result is the exact KNN of the query.
 //
 // A query runs the machinery of the builders: the counting phase bins
-// the profile into the item profiles with epoch-stamped dense counters,
-// a budget is cut by packed rank keys (rcs.SelectRanked), candidates are
-// scored by the metric's one-vs-many form (similarity.Metric.ScoreProfile,
-// which takes the set-based metrics straight from the counts) and the
-// answer is kept in a bounded top-k.
+// the profile into the item profiles with epoch-stamped dense counters
+// and, where the metric asks for it (similarity.Metric.Walk), sums each
+// candidate's weighted overlap on the way; a budget is cut by packed rank
+// keys (rcs.SelectRanked); each candidate's score is finished from its
+// count and sum in O(1) (similarity.Metric.ScoreProfile); and the answer
+// is kept in a bounded top-k.
 //
 // An Index never mutates its dataset after construction and holds no
 // per-query state: the counters and buffers come from a process-wide
@@ -42,10 +43,11 @@ type Index struct {
 	metric similarity.Metric
 }
 
-// profileSource is the read surface Query needs: user profiles and the
-// item-profile inverted index. Both *dataset.Dataset and *dataset.View
-// satisfy it, so an Index is O(1) to construct over a freshly published
-// view — nothing is copied or prepared per publication.
+// profileSource is the read surface Query needs: user profiles and norms
+// and the item-profile inverted index with its ratings. Both
+// *dataset.Dataset and *dataset.View satisfy it, so an Index is O(1) to
+// construct over a freshly published view — nothing is copied or
+// prepared per publication.
 type profileSource interface {
 	similarity.Source
 	NumUsers() int
@@ -108,7 +110,11 @@ type queryScratch struct {
 	// slots counts candidates over the user domain. A slot belongs to the
 	// current query iff its epoch equals epoch, so starting a query is an
 	// increment, not a clear.
-	slots   []countSlot
+	slots []countSlot
+	// sums holds the walk's per-candidate sums beside the slots, valid
+	// where the slot is current. A separate array keeps the count-only
+	// walk's slots at 8 bytes.
+	sums    []float64
 	epoch   uint32
 	touched []uint32 // candidates of the current query, in discovery order
 	keys    []uint64 // rcs rank keys, for the budget cut
@@ -123,9 +129,9 @@ type countSlot struct {
 }
 
 func (ix *Index) query(qs *queryScratch, profile sparse.Vector, k, budget int) []knngraph.Neighbor {
-	qs.pivot.Bind(ix.d, profile)
+	walk := qs.pivot.Bind(ix.d, profile, ix.metric)
 	defer qs.pivot.Release()
-	qs.count(ix.d, qs.pivot.Indexed())
+	qs.count(ix.d, qs.pivot.Indexed(), walk)
 
 	cands, common := qs.touched, qs.common[:0]
 	if budget >= 0 && budget < len(cands) {
@@ -148,6 +154,11 @@ func (ix *Index) query(qs *queryScratch, profile sparse.Vector, k, budget int) [
 	qs.common = common
 	sims := slices.Grow(qs.sims[:0], len(cands))[:len(cands)]
 	qs.sims = sims
+	if walk.Terms != nil {
+		for i, v := range cands {
+			sims[i] = qs.sums[v]
+		}
+	}
 	ix.metric.ScoreProfile(sims, &qs.pivot, cands, common)
 
 	n := min(k, len(cands))
@@ -160,8 +171,11 @@ func (ix *Index) query(qs *queryScratch, profile sparse.Vector, k, budget int) [
 
 // count is the counting phase for one profile: it bins the items into
 // src's item profiles, leaving every user sharing at least one of them in
-// qs.touched with its shared-item count in qs.slots.
-func (qs *queryScratch) count(src profileSource, items []uint32) {
+// qs.touched with its shared-item count in qs.slots and, unless the walk
+// only counts, its sum in qs.sums. items ascend, so each candidate's sum
+// adds its terms in ascending item order, starting at +0 — the order of
+// the pairwise merge.
+func (qs *queryScratch) count(src profileSource, items []uint32, walk similarity.Walk) {
 	if n := src.NumUsers(); n > len(qs.slots) {
 		// Geometric growth: a population that creeps up by one insert at
 		// a time must not reallocate per query. New slots carry epoch 0,
@@ -170,20 +184,56 @@ func (qs *queryScratch) count(src profileSource, items []uint32) {
 		copy(grown, qs.slots)
 		qs.slots = grown
 	}
+	if walk.Terms != nil && len(qs.sums) < len(qs.slots) {
+		qs.sums = make([]float64, len(qs.slots))
+	}
 	qs.epoch++
 	if qs.epoch == 0 { // wrapped: stale stamps could collide; hard-reset
 		clear(qs.slots)
 		qs.epoch = 1
 	}
-	ep, slots, touched := qs.epoch, qs.slots, qs.touched[:0]
-	for _, it := range items {
-		for _, v := range src.Item(it) {
-			s := &slots[v]
-			if s.epoch != ep {
-				*s = countSlot{epoch: ep, count: 1}
-				touched = append(touched, v)
-			} else {
-				s.count++
+	ep, slots, sums, touched := qs.epoch, qs.slots, qs.sums, qs.touched[:0]
+	switch {
+	case walk.Terms == nil:
+		for _, it := range items {
+			for _, r := range src.Raters(it) {
+				s := &slots[r.User]
+				if s.epoch != ep {
+					*s = countSlot{epoch: ep, count: 1}
+					touched = append(touched, r.User)
+				} else {
+					s.count++
+				}
+			}
+		}
+	case walk.Rated:
+		for j, it := range items {
+			t := walk.Terms[j]
+			for _, r := range src.Raters(it) {
+				s := &slots[r.User]
+				if s.epoch != ep {
+					*s = countSlot{epoch: ep, count: 1}
+					sums[r.User] = 0
+					touched = append(touched, r.User)
+				} else {
+					s.count++
+				}
+				sums[r.User] += t * r.Rating()
+			}
+		}
+	default:
+		for j, it := range items {
+			t := walk.Terms[j]
+			for _, r := range src.Raters(it) {
+				s := &slots[r.User]
+				if s.epoch != ep {
+					*s = countSlot{epoch: ep, count: 1}
+					sums[r.User] = 0
+					touched = append(touched, r.User)
+				} else {
+					s.count++
+				}
+				sums[r.User] += t
 			}
 		}
 	}

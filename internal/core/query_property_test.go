@@ -23,7 +23,7 @@ func referenceQuery(d *dataset.Dataset, p sparse.Vector, k, budget int, score fu
 	counts := map[uint32]int32{}
 	for _, it := range p.IDs {
 		if int(it) < d.NumItems() {
-			for _, v := range d.Items[it] {
+			for _, v := range d.Item(it) {
 				counts[v]++
 			}
 		}
@@ -78,7 +78,7 @@ func externalScore(d *dataset.Dataset, metric string, p sparse.Vector, v uint32)
 	case "adamic-adar":
 		var s float64
 		for _, it := range sparse.Intersect(nil, p, o) {
-			if n := len(d.Items[it]); n >= 2 {
+			if n := len(d.Item(it)); n >= 2 {
 				s += 1 / math.Log(float64(n))
 			}
 		}

@@ -65,7 +65,7 @@ func TestDatasetBinaryRoundTrip(t *testing.T) {
 	// The index is built lazily (decode allocates O(input) only); after
 	// EnsureItemProfiles the loaded dataset passes the full invariant
 	// check, inverted index included.
-	if back.Items != nil {
+	if back.items != nil {
 		t.Fatal("decoder built the item index eagerly; it must stay lazy")
 	}
 	back.EnsureItemProfiles()

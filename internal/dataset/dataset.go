@@ -12,6 +12,8 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"kiff/internal/arena"
@@ -37,12 +39,18 @@ type Dataset struct {
 	// with the ratings as weights (nil weights = binary, the single-valued
 	// rating special case of §III-A).
 	Users []sparse.Vector
-	// Items is the inverted index: Items[i] lists the users that rated
-	// item i, in ascending order (the item profiles IPi of §II-B). It may
-	// be nil until EnsureItemProfiles is called; loaders and generators
-	// normally populate it at construction time, mirroring Algorithm 1
-	// lines 1–2 ("executed at loading time").
-	Items [][]uint32
+
+	// items is the inverted index: items[i] lists the users that rated
+	// item i, in ascending order, each with its rating (the item profiles
+	// IPi of §II-B). It is nil until EnsureItemProfiles builds it, with
+	// norms and weighted; loaders and generators normally do so at
+	// construction time, mirroring Algorithm 1 lines 1–2 ("executed at
+	// loading time").
+	items [][]Rater
+	// norms caches ‖UPu‖ per user, maintained with the index.
+	norms []float64
+	// weighted is sticky: some indexed rating is, or once was, ≠ 1.
+	weighted bool
 
 	numItems int
 
@@ -82,13 +90,56 @@ func (d *Dataset) NumUsers() int { return len(d.Users) }
 func (d *Dataset) NumItems() int { return d.numItems }
 
 // User returns user u's current profile (do not mutate). Together with
-// Item and NumItems it gives the live dataset the same read surface as a
-// frozen View, so query evaluation can run over either.
+// Raters, Norm, Weighted and NumItems it gives the live dataset the same
+// read surface as a frozen View, so query evaluation can run over either.
 func (d *Dataset) User(u uint32) sparse.Vector { return d.Users[u] }
 
-// Item returns item i's inverted-index row (do not mutate). The index
-// must have been built (EnsureItemProfiles).
-func (d *Dataset) Item(i uint32) []uint32 { return d.Items[i] }
+// Item returns the users that rated item i, in ascending order, as a
+// fresh slice. The index must have been built (EnsureItemProfiles), as
+// for Raters, the zero-copy form the hot paths read.
+func (d *Dataset) Item(i uint32) []uint32 { return raterIDs(d.items[i]) }
+
+// Raters returns item i's inverted-index row: its raters in ascending
+// user order, with their ratings (do not mutate). The index must have
+// been built (EnsureItemProfiles).
+func (d *Dataset) Raters(i uint32) []Rater { return d.items[i] }
+
+// Norm returns ‖UPu‖, the Euclidean norm of user u's profile, cached
+// with the index (EnsureItemProfiles) and kept current by the mutators.
+func (d *Dataset) Norm(u uint32) float64 { return d.norms[u] }
+
+// Weighted reports whether some indexed rating is, or once was, ≠ 1.
+// The bit is sticky: a dataset whose every rating returns to 1 stays
+// weighted. The index must have been built (EnsureItemProfiles).
+func (d *Dataset) Weighted() bool { return d.weighted }
+
+// Rater is one entry of an item row: a user that rated the item and the
+// rating. The rating's float64 bits are split across two uint32 halves,
+// so an entry packs into 12 bytes at uint32 alignment.
+type Rater struct {
+	User   uint32
+	lo, hi uint32
+}
+
+// newRater returns the row entry of user u with the given rating.
+func newRater(u uint32, rating float64) Rater {
+	b := math.Float64bits(rating)
+	return Rater{User: u, lo: uint32(b), hi: uint32(b >> 32)}
+}
+
+// Rating returns the entry's rating (1 for a binary profile's item).
+func (r Rater) Rating() float64 {
+	return math.Float64frombits(uint64(r.hi)<<32 | uint64(r.lo))
+}
+
+// raterIDs copies a row's user IDs.
+func raterIDs(row []Rater) []uint32 {
+	ids := make([]uint32, len(row))
+	for j, r := range row {
+		ids[j] = r.User
+	}
+	return ids
+}
 
 // NumRatings returns |E|, the number of user→item edges.
 func (d *Dataset) NumRatings() int {
@@ -131,41 +182,54 @@ func (d *Dataset) UserProfileSizes() []int {
 // the inverted index if necessary.
 func (d *Dataset) ItemProfileSizes() []int {
 	d.EnsureItemProfiles()
-	sizes := make([]int, len(d.Items))
-	for i, ip := range d.Items {
+	sizes := make([]int, len(d.items))
+	for i, ip := range d.items {
 		sizes[i] = len(ip)
 	}
 	return sizes
 }
 
-// EnsureItemProfiles builds the item-profile inverted index if it has not
-// been built yet. The index reverses every user→item edge into an
-// item→user entry; users appear in ascending order because user IDs are
-// scanned in order.
+// EnsureItemProfiles builds the item-profile inverted index, with the
+// per-user norms and the weighted bit, if it has not been built yet. The
+// index reverses every user→item edge into an item→(user, rating) entry;
+// users appear in ascending order because user IDs are scanned in order.
 func (d *Dataset) EnsureItemProfiles() {
-	if d.Items != nil {
+	if d.items != nil {
 		return
 	}
-	d.Items = BuildItemProfiles(d.Users, d.numItems)
+	d.items = buildItemProfiles(d.Users, d.numItems)
+	d.norms = make([]float64, len(d.Users))
+	for u, p := range d.Users {
+		d.norms[u] = sparse.Norm(p)
+		d.weighted = d.weighted || hasWeight(p.Weights)
+	}
 	// Building the index rewrites every item row wholesale.
 	d.invalidateView()
 }
 
-// BuildItemProfiles computes the inverted index for the given profiles
+// hasWeight reports whether some rating in ws is ≠ 1.
+func hasWeight(ws []float64) bool {
+	for _, w := range ws {
+		if w != 1 {
+			return true
+		}
+	}
+	return false
+}
+
+// buildItemProfiles computes the inverted index for the given profiles
 // as capacity-clamped views into one CSR arena (two-pass counted fill).
-// It is exposed separately so the Table IV experiment can time item-profile
-// construction in isolation.
-func BuildItemProfiles(users []sparse.Vector, numItems int) [][]uint32 {
+func buildItemProfiles(users []sparse.Vector, numItems int) [][]Rater {
 	counts := make([]int, numItems)
 	for _, u := range users {
 		for _, it := range u.IDs {
 			counts[it]++
 		}
 	}
-	f := arena.NewFiller[uint32](counts)
-	for uid := range users {
-		for _, it := range users[uid].IDs {
-			f.Push(int(it), uint32(uid))
+	f := arena.NewFiller[Rater](counts)
+	for uid, u := range users {
+		for idx, it := range u.IDs {
+			f.Push(int(it), newRater(uint32(uid), u.Weight(idx)))
 		}
 	}
 	return f.Rows().Views()
@@ -177,7 +241,7 @@ func BuildItemProfiles(users []sparse.Vector, numItems int) [][]uint32 {
 // — the new user's ID is the largest, so each touched item profile stays
 // ascending, and the append lands either in a fresh array or past every
 // length a published View can see (row storage visible to views is never
-// overwritten).
+// overwritten) — and the new user's norm is appended to the cache.
 //
 // Mutations are single-writer: AddUser must not run concurrently with
 // other mutations of the same dataset. Readers holding a View are safe.
@@ -195,11 +259,13 @@ func (d *Dataset) AddUser(p sparse.Vector) (uint32, error) {
 	id := uint32(len(d.Users))
 	d.Users = append(d.Users, p)
 	d.markUser(id)
-	if d.Items != nil {
-		for _, it := range p.IDs {
-			d.Items[it] = append(d.Items[it], id)
+	if d.items != nil {
+		for idx, it := range p.IDs {
+			d.items[it] = append(d.items[it], newRater(id, p.Weight(idx)))
 			d.markItem(it)
 		}
+		d.norms = append(d.norms, sparse.Norm(p))
+		d.weighted = d.weighted || hasWeight(p.Weights)
 	}
 	return id, nil
 }
@@ -212,9 +278,10 @@ func (d *Dataset) AddUser(p sparse.Vector) (uint32, error) {
 //
 // Like AddUser, AddRating is single-writer but safe to interleave with
 // readers holding a View: mutated rows (the user's profile, the item's
-// inverted-index entry) are rebuilt in fresh arrays and swapped in whole
-// — copy-on-write — so a reader sees either the old or the new row,
-// never a half-shifted one.
+// inverted-index row, which holds the rating too) are rebuilt in fresh
+// arrays and swapped in whole — copy-on-write — so a reader sees either
+// the old or the new row, never a half-shifted one. The user's cached
+// norm is refreshed.
 func (d *Dataset) AddRating(u uint32, item uint32, rating float64) error {
 	if int(u) >= len(d.Users) {
 		return fmt.Errorf("dataset: add rating: user %d out of range (have %d users)", u, len(d.Users))
@@ -226,50 +293,52 @@ func (d *Dataset) AddRating(u uint32, item uint32, rating float64) error {
 	pos := sort.Search(p.Len(), func(i int) bool { return p.IDs[i] >= item })
 	present := pos < p.Len() && p.IDs[pos] == item
 	weighted := p.Weights != nil || rating != 1
+	if present && !weighted {
+		return nil // binary profile, rating 1: already recorded
+	}
+	var np sparse.Vector
 	if present {
-		if !weighted {
-			return nil // binary profile, rating 1: already recorded
+		np = sparse.Vector{IDs: p.IDs, Weights: make([]float64, p.Len())}
+		for i := range np.Weights {
+			np.Weights[i] = p.Weight(i)
 		}
-		weights := make([]float64, p.Len())
-		if p.Weights == nil {
-			for i := range weights {
-				weights[i] = 1
+		np.Weights[pos] = rating
+	} else {
+		np.IDs = make([]uint32, p.Len()+1)
+		copy(np.IDs, p.IDs[:pos])
+		np.IDs[pos] = item
+		copy(np.IDs[pos+1:], p.IDs[pos:])
+		if weighted {
+			np.Weights = make([]float64, p.Len()+1)
+			for i := 0; i < pos; i++ {
+				np.Weights[i] = p.Weight(i)
 			}
-		} else {
-			copy(weights, p.Weights)
+			np.Weights[pos] = rating
+			for i := pos; i < p.Len(); i++ {
+				np.Weights[i+1] = p.Weight(i)
+			}
 		}
-		weights[pos] = rating
-		d.Users[u] = sparse.Vector{IDs: p.IDs, Weights: weights}
-		d.markUser(u)
+	}
+	d.Users[u] = np
+	d.markUser(u)
+	if d.items == nil {
 		return nil
 	}
-	ids := make([]uint32, p.Len()+1)
-	copy(ids, p.IDs[:pos])
-	ids[pos] = item
-	copy(ids[pos+1:], p.IDs[pos:])
-	var weights []float64
-	if weighted {
-		weights = make([]float64, p.Len()+1)
-		for i := 0; i < pos; i++ {
-			weights[i] = p.Weight(i)
-		}
-		weights[pos] = rating
-		for i := pos; i < p.Len(); i++ {
-			weights[i+1] = p.Weight(i)
-		}
+	d.norms[u] = sparse.Norm(np)
+	d.weighted = d.weighted || rating != 1
+	ip := d.items[item]
+	j := sort.Search(len(ip), func(j int) bool { return ip[j].User >= u })
+	var nip []Rater
+	if present {
+		nip = slices.Clone(ip)
+	} else {
+		nip = make([]Rater, len(ip)+1)
+		copy(nip, ip[:j])
+		copy(nip[j+1:], ip[j:])
 	}
-	d.Users[u] = sparse.Vector{IDs: ids, Weights: weights}
-	d.markUser(u)
-	if d.Items != nil {
-		ip := d.Items[item]
-		ipos := sort.Search(len(ip), func(i int) bool { return ip[i] >= u })
-		nip := make([]uint32, len(ip)+1)
-		copy(nip, ip[:ipos])
-		nip[ipos] = u
-		copy(nip[ipos+1:], ip[ipos:])
-		d.Items[item] = nip
-		d.markItem(item)
-	}
+	nip[j] = newRater(u, rating)
+	d.items[item] = nip
+	d.markItem(item)
 	return nil
 }
 
@@ -279,9 +348,9 @@ func (d *Dataset) growItems(n int) {
 	if n <= d.numItems {
 		return
 	}
-	if d.Items != nil {
-		for len(d.Items) < n {
-			d.Items = append(d.Items, nil)
+	if d.items != nil {
+		for len(d.items) < n {
+			d.items = append(d.items, nil)
 		}
 	}
 	d.numItems = n
@@ -326,39 +395,80 @@ func (s Stats) String() string {
 }
 
 // Validate checks structural invariants: profiles well-formed, item IDs in
-// range, and (if present) the inverted index consistent with the profiles.
+// range, and (if built) the inverted index, norms and weighted bit
+// consistent with the profiles.
 func (d *Dataset) Validate() error {
 	if d.numItems < 0 {
 		return errors.New("dataset: negative item count")
 	}
-	for uid, u := range d.Users {
+	if err := validateProfiles(0, d.Users, d.numItems); err != nil || d.items == nil {
+		return err
+	}
+	if len(d.items) != d.numItems {
+		return fmt.Errorf("dataset: item index has %d entries, want %d", len(d.items), d.numItems)
+	}
+	if len(d.norms) != len(d.Users) {
+		return fmt.Errorf("dataset: %d cached norms, want %d", len(d.norms), len(d.Users))
+	}
+	return validateIndex(d)
+}
+
+// validateProfiles checks that each profile users[j], user first+j, is
+// well formed and references only items below numItems.
+func validateProfiles(first int, users []sparse.Vector, numItems int) error {
+	for j, u := range users {
 		if err := u.Validate(); err != nil {
-			return fmt.Errorf("dataset: user %d: %w", uid, err)
+			return fmt.Errorf("dataset: user %d: %w", first+j, err)
 		}
-		if u.Len() > 0 && int(u.IDs[u.Len()-1]) >= d.numItems {
+		if u.Len() > 0 && int(u.IDs[u.Len()-1]) >= numItems {
 			return fmt.Errorf("dataset: user %d references item %d ≥ numItems %d",
-				uid, u.IDs[u.Len()-1], d.numItems)
+				first+j, u.IDs[u.Len()-1], numItems)
 		}
 	}
-	if d.Items != nil {
-		if len(d.Items) != d.numItems {
-			return fmt.Errorf("dataset: item index has %d entries, want %d", len(d.Items), d.numItems)
-		}
-		n := 0
-		for i, ip := range d.Items {
-			for j, uid := range ip {
-				if int(uid) >= len(d.Users) {
-					return fmt.Errorf("dataset: item %d references user %d out of range", i, uid)
-				}
-				if j > 0 && ip[j-1] >= uid {
-					return fmt.Errorf("dataset: item %d profile not strictly ascending", i)
-				}
+	return nil
+}
+
+// indexSource is the read surface validateIndex checks, shared by
+// Dataset and View.
+type indexSource interface {
+	NumUsers() int
+	NumItems() int
+	User(u uint32) sparse.Vector
+	Raters(i uint32) []Rater
+	Norm(u uint32) float64
+	Weighted() bool
+}
+
+// validateIndex checks, over validated profiles, that the item rows are
+// exactly the profiles inverted — every (user, rating) entry in place,
+// ratings and norms compared bit for bit — and that the weighted bit is
+// set if some rating is ≠ 1. Users are scanned in ascending order, so
+// each item row is matched front to back through one cursor per item.
+func validateIndex(r indexSource) error {
+	next := make([]int, r.NumItems())
+	weighted := false
+	for uid := uint32(0); int(uid) < r.NumUsers(); uid++ {
+		u := r.User(uid)
+		for idx, it := range u.IDs {
+			row, j := r.Raters(it), next[it]
+			if j >= len(row) || row[j].User != uid ||
+				math.Float64bits(row[j].Rating()) != math.Float64bits(u.Weight(idx)) {
+				return fmt.Errorf("dataset: item %d row disagrees with user %d's profile", it, uid)
 			}
-			n += len(ip)
+			next[it]++
 		}
-		if n != d.NumRatings() {
-			return fmt.Errorf("dataset: inverted index has %d edges, profiles have %d", n, d.NumRatings())
+		if math.Float64bits(r.Norm(uid)) != math.Float64bits(sparse.Norm(u)) {
+			return fmt.Errorf("dataset: user %d: cached norm is stale", uid)
 		}
+		weighted = weighted || hasWeight(u.Weights)
+	}
+	for i, n := range next {
+		if n != len(r.Raters(uint32(i))) {
+			return fmt.Errorf("dataset: item %d row holds %d raters, profiles have %d", i, len(r.Raters(uint32(i))), n)
+		}
+	}
+	if weighted && !r.Weighted() {
+		return errors.New("dataset: weighted ratings indexed but the weighted bit is clear")
 	}
 	return nil
 }

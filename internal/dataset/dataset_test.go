@@ -67,12 +67,13 @@ func TestItemProfiles(t *testing.T) {
 	d.EnsureItemProfiles()
 	want := [][]uint32{{0}, {0, 1, 2}, {1}}
 	for i := range want {
-		if len(d.Items[i]) != len(want[i]) {
-			t.Fatalf("item %d profile = %v, want %v", i, d.Items[i], want[i])
+		got := d.Item(uint32(i))
+		if len(got) != len(want[i]) {
+			t.Fatalf("item %d profile = %v, want %v", i, got, want[i])
 		}
 		for j := range want[i] {
-			if d.Items[i][j] != want[i][j] {
-				t.Fatalf("item %d profile = %v, want %v", i, d.Items[i], want[i])
+			if got[j] != want[i][j] {
+				t.Fatalf("item %d profile = %v, want %v", i, got, want[i])
 			}
 		}
 	}
@@ -134,8 +135,8 @@ func TestToy(t *testing.T) {
 		t.Errorf("Alice∩Carl = %d, want 0", got)
 	}
 	// IPcoffee = {Alice, Bob}.
-	if len(d.Items[1]) != 2 || d.Items[1][0] != 0 || d.Items[1][1] != 1 {
-		t.Errorf("IPcoffee = %v, want [0 1]", d.Items[1])
+	if ip := d.Item(1); len(ip) != 2 || ip[0] != 0 || ip[1] != 1 {
+		t.Errorf("IPcoffee = %v, want [0 1]", ip)
 	}
 }
 
@@ -157,11 +158,12 @@ func TestFromProfiles(t *testing.T) {
 
 func TestValidateCatchesBadIndex(t *testing.T) {
 	d := mustNew(t, "t", []sparse.Vector{{IDs: []uint32{0}}}, 1)
-	d.Items = [][]uint32{{5}} // user 5 does not exist
+	d.EnsureItemProfiles()
+	d.items = [][]Rater{{newRater(5, 1)}} // user 5 does not exist
 	if err := d.Validate(); err == nil {
 		t.Error("Validate must reject out-of-range user in item profile")
 	}
-	d.Items = [][]uint32{{0, 0}} // duplicate
+	d.items = [][]Rater{{newRater(0, 1), newRater(0, 1)}} // duplicate
 	if err := d.Validate(); err == nil {
 		t.Error("Validate must reject non-ascending item profile")
 	}

@@ -73,12 +73,12 @@ func TestLoadWithoutItemProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if d.Items != nil {
+	if d.items != nil {
 		t.Error("item profiles must not be built unless requested")
 	}
 	d.EnsureItemProfiles()
-	if len(d.Items) != 1 || len(d.Items[0]) != 1 {
-		t.Errorf("EnsureItemProfiles built %v", d.Items)
+	if len(d.items) != 1 || len(d.items[0]) != 1 {
+		t.Errorf("EnsureItemProfiles built %v", d.items)
 	}
 }
 

@@ -5,17 +5,16 @@ package dataset
 // number of readers serve from Views published earlier. Row storage was
 // always safe to share (mutations replace whole rows or append past
 // published lengths — see the Dataset doc); what would cost O(|U|+|I|)
-// per publication is copying the header arrays. Views therefore keep the
-// headers in internal/arena's paged row tables, and the Dataset
-// remembers the last View it produced plus the rows dirtied since: the
-// next View() copies the previous page tables and replaces only the
-// pages holding a dirty or appended row (arena.PatchPages), sharing
-// every other page with its predecessor — O(dirty pages · 64) header
-// copies plus an O((|U|+|I|)/64) table copy.
+// per publication is copying the header arrays and the norm cache. Views
+// therefore keep the row headers and the norms in internal/arena's paged
+// tables, and the Dataset remembers the last View it produced plus the
+// rows dirtied since: the next View() copies the previous page tables
+// and replaces only the pages holding a dirty or appended row
+// (arena.PatchPages), sharing every other page with its predecessor —
+// O(dirty pages · 64) copies plus an O((|U|+|I|)/64) table copy.
 
 import (
 	"errors"
-	"fmt"
 	"maps"
 
 	"kiff/internal/arena"
@@ -23,16 +22,19 @@ import (
 )
 
 // View is an immutable, page-shared snapshot of a Dataset: the user and
-// item row headers frozen at one publication point, with row storage
-// shared with the live dataset (safe under its copy-on-write mutation
-// discipline). Obtain one from Dataset.View; treat it as strictly
-// read-only. All methods are safe for any number of concurrent readers.
+// item row headers, the user norms and the weighted bit frozen at one
+// publication point, with row storage shared with the live dataset (safe
+// under its copy-on-write mutation discipline). Obtain one from
+// Dataset.View; treat it as strictly read-only. All methods are safe for
+// any number of concurrent readers.
 type View struct {
 	name     string
 	numUsers int
 	numItems int
+	weighted bool
 	users    [][]sparse.Vector
-	items    [][][]uint32
+	norms    [][]float64
+	items    [][][]Rater
 }
 
 // Name returns the dataset name the view was published from.
@@ -49,11 +51,20 @@ func (v *View) User(u uint32) sparse.Vector {
 	return v.users[u>>arena.PageShift][u&(arena.PageRows-1)]
 }
 
-// Item returns item i's frozen inverted-index row, the users that rated
-// i in ascending order (do not mutate).
-func (v *View) Item(i uint32) []uint32 {
+// Raters returns item i's frozen inverted-index row: its raters in
+// ascending user order, with their ratings (do not mutate).
+func (v *View) Raters(i uint32) []Rater {
 	return v.items[i>>arena.PageShift][i&(arena.PageRows-1)]
 }
+
+// Norm returns user u's frozen profile norm ‖UPu‖.
+func (v *View) Norm(u uint32) float64 {
+	return v.norms[u>>arena.PageShift][u&(arena.PageRows-1)]
+}
+
+// Weighted reports whether some rating was ≠ 1 at the publication point
+// (sticky, as Dataset.Weighted).
+func (v *View) Weighted() bool { return v.weighted }
 
 // NumRatings returns |E| at the publication point.
 func (v *View) NumRatings() int {
@@ -67,38 +78,17 @@ func (v *View) NumRatings() int {
 }
 
 // Validate checks the frozen structural invariants — the same checks
-// Dataset.Validate runs, over the paged headers.
+// Dataset.Validate runs, over the paged tables.
 func (v *View) Validate() error {
 	if v.numItems < 0 {
 		return errors.New("dataset: negative item count")
 	}
-	for uid := 0; uid < v.numUsers; uid++ {
-		u := v.User(uint32(uid))
-		if err := u.Validate(); err != nil {
-			return fmt.Errorf("dataset: user %d: %w", uid, err)
-		}
-		if u.Len() > 0 && int(u.IDs[u.Len()-1]) >= v.numItems {
-			return fmt.Errorf("dataset: user %d references item %d ≥ numItems %d",
-				uid, u.IDs[u.Len()-1], v.numItems)
+	for p, pg := range v.users {
+		if err := validateProfiles(p<<arena.PageShift, pg, v.numItems); err != nil {
+			return err
 		}
 	}
-	n := 0
-	for i := 0; i < v.numItems; i++ {
-		ip := v.Item(uint32(i))
-		for j, uid := range ip {
-			if int(uid) >= v.numUsers {
-				return fmt.Errorf("dataset: item %d references user %d out of range", i, uid)
-			}
-			if j > 0 && ip[j-1] >= uid {
-				return fmt.Errorf("dataset: item %d profile not strictly ascending", i)
-			}
-		}
-		n += len(ip)
-	}
-	if n != v.NumRatings() {
-		return fmt.Errorf("dataset: inverted index has %d edges, profiles have %d", n, v.NumRatings())
-	}
-	return nil
+	return validateIndex(v)
 }
 
 // viewCache is the Dataset's publication memory: the last View handed
@@ -162,12 +152,15 @@ func (d *Dataset) View() *View {
 	if last == nil {
 		last = &View{} // nothing to share: every row is appended
 	}
-	v := &View{name: d.Name, numUsers: len(d.Users), numItems: d.numItems}
-	var cu, ci int
+	v := &View{name: d.Name, numUsers: len(d.Users), numItems: d.numItems, weighted: d.weighted}
+	var cu, cn, ci int
 	v.users, cu = arena.PatchPages(last.users, len(d.Users), maps.Keys(d.vc.dirtyUsers),
 		func(u int, _ sparse.Vector) sparse.Vector { return d.Users[u] })
-	v.items, ci = arena.PatchPages(last.items, len(d.Items), maps.Keys(d.vc.dirtyItems),
-		func(i int, _ []uint32) []uint32 { return d.Items[i] })
-	d.vc = viewCache{last: v, copied: cu + ci, shared: len(v.users) + len(v.items) - cu - ci}
+	v.norms, cn = arena.PatchPages(last.norms, len(d.norms), maps.Keys(d.vc.dirtyUsers),
+		func(u int, _ float64) float64 { return d.norms[u] })
+	v.items, ci = arena.PatchPages(last.items, len(d.items), maps.Keys(d.vc.dirtyItems),
+		func(i int, _ []Rater) []Rater { return d.items[i] })
+	copied := cu + cn + ci
+	d.vc = viewCache{last: v, copied: copied, shared: len(v.users) + len(v.norms) + len(v.items) - copied}
 	return v
 }

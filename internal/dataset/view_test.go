@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"kiff/internal/sparse"
@@ -36,17 +38,18 @@ func requireViewMatchesLive(t *testing.T, v *View, d *Dataset) {
 				t.Fatalf("user %d entry %d diverges", u, i)
 			}
 		}
+		if math.Float64bits(v.Norm(uint32(u))) != math.Float64bits(d.Norm(uint32(u))) {
+			t.Fatalf("user %d: view norm %v, live %v", u, v.Norm(uint32(u)), d.Norm(uint32(u)))
+		}
 	}
 	for i := 0; i < d.NumItems(); i++ {
-		a, b := v.Item(uint32(i)), d.Items[i]
-		if len(a) != len(b) {
-			t.Fatalf("item %d: view has %d users, live %d", i, len(a), len(b))
+		// Rater is comparable: equality covers the user and the rating bits.
+		if a, b := v.Raters(uint32(i)), d.Raters(uint32(i)); !slices.Equal(a, b) {
+			t.Fatalf("item %d: view row %v, live %v", i, a, b)
 		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("item %d entry %d diverges", i, j)
-			}
-		}
+	}
+	if v.Weighted() != d.Weighted() {
+		t.Fatalf("view weighted %v, live %v", v.Weighted(), d.Weighted())
 	}
 	if err := v.Validate(); err != nil {
 		t.Fatal(err)
@@ -61,29 +64,29 @@ func TestViewMatchesLiveAcrossSizes(t *testing.T) {
 }
 
 func TestViewSharesCleanPages(t *testing.T) {
-	d := viewFixture(t, 150) // user pages: 3, item pages: 2
+	d := viewFixture(t, 150) // user and norm pages: 3 each, item pages: 2
 	d.View()
 	copied, shared := d.LastViewStats()
-	if shared != 0 || copied != 5 {
-		t.Fatalf("first view: copied %d, shared %d; want 5 copied", copied, shared)
+	if shared != 0 || copied != 8 {
+		t.Fatalf("first view: copied %d, shared %d; want 8 copied", copied, shared)
 	}
 
 	// A clean republication shares every page.
 	d.View()
-	if copied, shared = d.LastViewStats(); copied != 0 || shared != 5 {
-		t.Fatalf("clean view: copied %d, shared %d; want 5 shared", copied, shared)
+	if copied, shared = d.LastViewStats(); copied != 0 || shared != 8 {
+		t.Fatalf("clean view: copied %d, shared %d; want 8 shared", copied, shared)
 	}
 
-	// One rating on user 70 (page 1) touching item 10 (page 0): exactly
-	// those two pages are rebuilt. (Item 10 gains user 70 — an insert into
-	// the inverted index — because user 70's profile holds 70%50=20 and
-	// 50+70%30=60, not 10.)
+	// One rating on user 70 (user and norm page 1) touching item 10 (page
+	// 0): exactly those three pages are rebuilt. (Item 10 gains user 70 —
+	// an insert into the inverted index — because user 70's profile holds
+	// 70%50=20 and 50+70%30=60, not 10.)
 	if err := d.AddRating(70, 10, 1); err != nil {
 		t.Fatal(err)
 	}
 	v := d.View()
-	if copied, shared = d.LastViewStats(); copied != 2 || shared != 3 {
-		t.Fatalf("after one rating: copied %d, shared %d; want 2 copied, 3 shared", copied, shared)
+	if copied, shared = d.LastViewStats(); copied != 3 || shared != 5 {
+		t.Fatalf("after one rating: copied %d, shared %d; want 3 copied, 5 shared", copied, shared)
 	}
 	requireViewMatchesLive(t, v, d)
 }
@@ -91,31 +94,40 @@ func TestViewSharesCleanPages(t *testing.T) {
 func TestViewImmutableUnderMutation(t *testing.T) {
 	d := viewFixture(t, 100)
 	v := d.View()
-	before := v.User(5)
-	beforeLen := before.Len()
-	beforeItem := append([]uint32(nil), v.Item(5)...)
+	before := v.User(5).Clone()
+	beforeNorm := v.Norm(5)
+	beforeItem := slices.Clone(v.Raters(5))
 
-	if err := d.AddRating(5, 5, 1); err != nil { // user 5 gains item 5
+	// User 5 holds items 5 and 55: a unit rating of item 5 is a no-op on
+	// its binary profile, a rating of 3 re-rates it (replacing the user
+	// row and item 5's row, which carries the rating), and item 7 is new.
+	if err := d.AddRating(5, 5, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddRating(5, 5, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddRating(5, 7, 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.AddUser(sparse.Vector{IDs: []uint32{5}}); err != nil {
 		t.Fatal(err)
 	}
 
-	if v.NumUsers() != 100 {
-		t.Fatalf("old view now covers %d users", v.NumUsers())
+	if v.NumUsers() != 100 || v.Weighted() {
+		t.Fatalf("old view now covers %d users, weighted %v", v.NumUsers(), v.Weighted())
 	}
-	if got := v.User(5); got.Len() != beforeLen {
-		t.Fatalf("old view's user 5 grew: %d -> %d items", beforeLen, got.Len())
+	if got := v.User(5); !slices.Equal(got.IDs, before.IDs) || got.Weights != nil {
+		t.Fatalf("old view's user 5 changed: %v -> %v", before, got)
 	}
-	got := v.Item(5)
-	if len(got) != len(beforeItem) {
-		t.Fatalf("old view's item 5 grew: %d -> %d users", len(beforeItem), len(got))
+	if got := v.Norm(5); got != beforeNorm {
+		t.Fatalf("old view's norm of user 5 changed: %v -> %v", beforeNorm, got)
 	}
-	for i := range got {
-		if got[i] != beforeItem[i] {
-			t.Fatalf("old view's item 5 changed at %d", i)
-		}
+	if got := v.Raters(5); !slices.Equal(got, beforeItem) {
+		t.Fatalf("old view's item 5 changed: %v -> %v", beforeItem, got)
+	}
+	if !d.Weighted() || d.Raters(5)[0] == beforeItem[0] {
+		t.Fatal("live dataset did not take the re-rating")
 	}
 	if err := v.Validate(); err != nil {
 		t.Fatal(err)

@@ -170,15 +170,11 @@ func Build(d *dataset.Dataset, opts BuildOptions) *Sets {
 	start := time.Now()
 	d.EnsureItemProfiles()
 	n := d.NumUsers()
-	items := d.Items
 	minRating := opts.MinRating
 	if d.Binary() {
 		// Every rating is 1 on binary datasets; the §VII heuristic only
 		// applies to "multiple-ratings" datasets.
 		minRating = 0
-	}
-	if minRating > 0 {
-		items = filteredItemProfiles(d, minRating)
 	}
 
 	s := &Sets{
@@ -215,7 +211,11 @@ func Build(d *dataset.Dataset, opts BuildOptions) *Sets {
 				if minRating > 0 && profile.Weight(idx) < minRating {
 					continue
 				}
-				for _, v := range items[it] {
+				for _, r := range d.Raters(it) {
+					if minRating > 0 && r.Rating() < minRating {
+						continue
+					}
+					v := r.User
 					// Pivot rule: only candidates with higher IDs (§II-D),
 					// unless NoPivot asks for the complete sets.
 					if opts.NoPivot {
@@ -319,14 +319,11 @@ func CandidatesFor(d *dataset.Dataset, u uint32, opts BuildOptions) []uint32 {
 		if minRating > 0 && profile.Weight(idx) < minRating {
 			continue
 		}
-		for _, v := range d.Items[it] {
-			if v == u {
+		for _, r := range d.Raters(it) {
+			if r.User == u || minRating > 0 && r.Rating() < minRating {
 				continue
 			}
-			if minRating > 0 && d.Users[v].WeightOf(it) < minRating {
-				continue
-			}
-			counts[v]++
+			counts[r.User]++
 		}
 	}
 	keys := make([]uint64, 0, len(counts))
@@ -373,21 +370,6 @@ func (s *Sets) PatchUser(d *dataset.Dataset, u uint32, opts BuildOptions) {
 	if n := len(s.lists); n > 0 {
 		s.BuildStats.AvgLen = float64(s.BuildStats.TotalCandidates) / float64(n)
 	}
-}
-
-// filteredItemProfiles rebuilds the inverted index keeping only edges with
-// rating ≥ minRating (§VII heuristic).
-func filteredItemProfiles(d *dataset.Dataset, minRating float64) [][]uint32 {
-	items := make([][]uint32, d.NumItems())
-	for uid := range d.Users {
-		u := d.Users[uid]
-		for i, it := range u.IDs {
-			if u.Weight(i) >= minRating {
-				items[it] = append(items[it], uint32(uid))
-			}
-		}
-	}
-	return items
 }
 
 // NumUsers returns the number of candidate sets.

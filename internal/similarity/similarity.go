@@ -17,8 +17,9 @@
 // metric of §IV-C for free.
 //
 // Pair is the reference implementation; the hot construction loops score
-// through the kernels, and single-profile queries through ScoreProfile
-// (profile.go). Both are property-tested bit-for-bit equal to it.
+// through the kernels, and single-profile queries through the counting
+// walk and ScoreProfile (profile.go). Both are tested bit-for-bit equal
+// to it.
 package similarity
 
 import (
@@ -57,11 +58,17 @@ type Metric interface {
 	// Prepare binds the metric to a dataset, precomputing its per-user
 	// or per-item state once.
 	Prepare(d *dataset.Dataset) Binding
-	// ScoreProfile fills dst[i] with the similarity between the pivot's
-	// external profile and user cands[i] of the pivot's source; common[i]
-	// must be their shared-item count |p ∩ cands[i]|, which the caller's
-	// counting phase has at hand. len(dst) and len(common) must equal
-	// len(cands). See profile.go.
+	// Walk states what the caller's counting walk over the pivot's
+	// indexed items must sum per candidate for ScoreProfile; Pivot.Bind
+	// asks it once per pivot.
+	Walk(pv *Pivot) Walk
+	// ScoreProfile finishes the similarity between the pivot's external
+	// profile and each user cands[i] of the pivot's source from what the
+	// counting walk left: common[i] is their shared-item count
+	// |p ∩ cands[i]|, and on entry dst[i] holds the sum the pivot's Walk
+	// asked for (unspecified if it asked for none). On return dst[i] is
+	// the similarity. len(dst) and len(common) must equal len(cands). See
+	// profile.go.
 	ScoreProfile(dst []float64, pv *Pivot, cands []uint32, common []int32)
 }
 
@@ -166,9 +173,9 @@ func (AdamicAdar) Name() string { return "adamic-adar" }
 // Prepare implements Metric; it precomputes 1/ln|IPi| per item.
 func (AdamicAdar) Prepare(d *dataset.Dataset) Binding {
 	d.EnsureItemProfiles()
-	st := &adamicState{d: d, invLog: make([]float64, len(d.Items))}
-	for i, ip := range d.Items {
-		st.invLog[i] = invLogDegree(len(ip))
+	st := &adamicState{d: d, invLog: make([]float64, d.NumItems())}
+	for i := range st.invLog {
+		st.invLog[i] = invLogDegree(len(d.Raters(uint32(i))))
 	}
 	return Binding{
 		Pair:    st.pair,
@@ -196,7 +203,7 @@ func (st *adamicState) refresh(u uint32) {
 		st.invLog = append(st.invLog, make([]float64, n-len(st.invLog))...)
 	}
 	for _, i := range st.d.Users[u].IDs {
-		st.invLog[i] = invLogDegree(len(st.d.Items[i]))
+		st.invLog[i] = invLogDegree(len(st.d.Raters(i)))
 	}
 }
 

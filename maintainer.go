@@ -493,7 +493,8 @@ func (m *Maintainer) evictStale(order []uint32) {
 	for _, u := range order {
 		m.epoch++
 		for _, it := range m.d.User(u).IDs {
-			for _, v := range m.d.Item(it) {
+			for _, r := range m.d.Raters(it) {
+				v := r.User
 				if s := m.seen[v]; s == target || s == m.epoch {
 					continue
 				}
