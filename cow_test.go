@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"kiff/internal/dataset"
 	"kiff/internal/shard"
@@ -80,8 +81,11 @@ func requireSameAnswers(t *testing.T, what string, got, want [][]Neighbor) {
 // identical query answers through the snapshot's O(1) view index versus
 // an index over a dataset rebuilt from clones of the live profiles — an
 // independent reference, since the live dataset's incrementally
-// maintained item rows and norms are the ones the view shares.
-func checkSnapshotMatchesScratch(t *testing.T, m *Maintainer, opts Options, rng *rand.Rand, items int) {
+// maintained item rows and norms are the ones the view shares. The
+// sampled users and the first probe are drawn from the stream's rng; the
+// other probes come from extra, so the mutation stream's later draws do
+// not depend on how many probes a check makes.
+func checkSnapshotMatchesScratch(t *testing.T, m *Maintainer, opts Options, rng, extra *rand.Rand, items int) {
 	t.Helper()
 	// Quiesce: ratings recorded since the last publication are not in any
 	// snapshot yet by design — Rebuild publishes them (no-op when clean).
@@ -122,9 +126,9 @@ func checkSnapshotMatchesScratch(t *testing.T, m *Maintainer, opts Options, rng 
 	if err != nil {
 		t.Fatal(err)
 	}
-	probes := make([]Profile, 8)
-	for i := range probes {
-		probes[i] = randomProfile(rng, items)
+	probes := []Profile{randomProfile(rng, items)}
+	for len(probes) < 8 {
+		probes = append(probes, randomProfile(extra, items))
 	}
 	requireSameAnswers(t, fmt.Sprintf("version %d: snapshot vs fresh index", s.Version()),
 		queryAll(t, s, probes), queryAll(t, ix, probes))
@@ -204,6 +208,7 @@ func TestCOWMutationStream(t *testing.T) {
 			var pinnedBytes []byte
 			var pinnedAnswers [][]Neighbor
 			pr := rand.New(rand.NewSource(tc.seed + 2000))
+			checkRng := rand.New(rand.NewSource(tc.seed + 3000))
 			probes := make([]Profile, 16)
 			for i := range probes {
 				probes[i] = randomProfile(pr, items)
@@ -225,7 +230,7 @@ func TestCOWMutationStream(t *testing.T) {
 					}
 				}
 				if step%7 == 0 {
-					checkSnapshotMatchesScratch(t, m, opts, rng, items)
+					checkSnapshotMatchesScratch(t, m, opts, rng, checkRng, items)
 				}
 				if step == 20 {
 					pinned = m.Snapshot()
@@ -233,10 +238,16 @@ func TestCOWMutationStream(t *testing.T) {
 					pinnedAnswers = queryAll(t, pinned, probes)
 				}
 			}
+			// Whatever the stream drew, re-rate an item the pinned
+			// snapshot shows as held and whose row it still shares with
+			// the live dataset, to a value no stream rating takes (they
+			// are whole numbers 1–5): the pinned checks below then always
+			// cover a replaced shared item row. It draws nothing from rng.
+			rerateSharedRow(t, m, pinned)
 			if err := m.Rebuild(nil); err != nil {
 				t.Fatal(err)
 			}
-			checkSnapshotMatchesScratch(t, m, opts, rng, items)
+			checkSnapshotMatchesScratch(t, m, opts, rng, checkRng, items)
 			close(done)
 			wg.Wait()
 
@@ -251,6 +262,25 @@ func TestCOWMutationStream(t *testing.T) {
 			requireSameAnswers(t, "pinned snapshot after later publications", queryAll(t, pinned, probes), pinnedAnswers)
 		})
 	}
+}
+
+// rerateSharedRow re-rates, to 6.5, the first item a user of the pinned
+// snapshot holds whose row storage the snapshot still shares with the
+// live dataset — the row an in-place write would corrupt.
+func rerateSharedRow(t *testing.T, m *Maintainer, pinned *Snapshot) {
+	t.Helper()
+	pv, live := pinned.Dataset(), m.Dataset()
+	for u := uint32(0); int(u) < pv.NumUsers(); u++ {
+		for _, it := range pv.User(u).IDs {
+			if unsafe.SliceData(pv.Raters(it)) == unsafe.SliceData(live.Raters(it)) {
+				if err := m.AddRating(u, it, 6.5); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+		}
+	}
+	t.Fatal("no item row is shared between the pinned snapshot and the live dataset")
 }
 
 // TestCOWMutationStreamPool runs the same property over a 4-shard pool

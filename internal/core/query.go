@@ -193,8 +193,7 @@ func (qs *queryScratch) count(src profileSource, items []uint32, walk similarity
 		qs.epoch = 1
 	}
 	ep, slots, sums, touched := qs.epoch, qs.slots, qs.sums, qs.touched[:0]
-	switch {
-	case walk.Terms == nil:
+	if walk.Terms == nil {
 		for _, it := range items {
 			for _, r := range src.Raters(it) {
 				s := &slots[r.User]
@@ -206,7 +205,7 @@ func (qs *queryScratch) count(src profileSource, items []uint32, walk similarity
 				}
 			}
 		}
-	case walk.Rated:
+	} else {
 		for j, it := range items {
 			t := walk.Terms[j]
 			for _, r := range src.Raters(it) {
@@ -218,22 +217,11 @@ func (qs *queryScratch) count(src profileSource, items []uint32, walk similarity
 				} else {
 					s.count++
 				}
-				sums[r.User] += t * r.Rating()
-			}
-		}
-	default:
-		for j, it := range items {
-			t := walk.Terms[j]
-			for _, r := range src.Raters(it) {
-				s := &slots[r.User]
-				if s.epoch != ep {
-					*s = countSlot{epoch: ep, count: 1}
-					sums[r.User] = 0
-					touched = append(touched, r.User)
+				if walk.Rated {
+					sums[r.User] += t * r.Rating()
 				} else {
-					s.count++
+					sums[r.User] += t
 				}
-				sums[r.User] += t
 			}
 		}
 	}

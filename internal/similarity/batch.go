@@ -13,7 +13,7 @@
 // merge, so every kernel is bit-for-bit equal to its metric's Func — the
 // property tests in batch_test.go pin exactly that, and it is what keeps
 // recall and SimEvals byte-identical whichever path a builder takes. A
-// kernel reads the same prepared state as its binding's Pair (cosine's
+// kernel reads the same state as its binding's Pair (the dataset's
 // norms, Adamic–Adar's weights), so one Refresh keeps both exact.
 //
 // Pivots whose ID span would need an oversized accumulator (see
@@ -77,15 +77,15 @@ func fitsScratch(p sparse.Vector) bool {
 // --- Cosine -------------------------------------------------------------
 
 type cosineBatcher struct {
-	st      *cosineState
+	d       *dataset.Dataset
 	scratch sparse.Scratch
 }
 
 func (b *cosineBatcher) ScoreInto(dst []float64, u uint32, cands []uint32) {
-	st := b.st
-	users := st.d.Users
+	d := b.d
+	users := d.Users
 	pu := users[u]
-	nu := st.norms[u]
+	nu := d.Norm(u)
 	if nu == 0 {
 		for i := range cands {
 			dst[i] = 0
@@ -94,7 +94,7 @@ func (b *cosineBatcher) ScoreInto(dst []float64, u uint32, cands []uint32) {
 	}
 	if !fitsScratch(pu) {
 		for i, v := range cands {
-			dst[i] = st.pair(u, v)
+			dst[i] = cosinePair(d, u, v)
 		}
 		return
 	}
@@ -108,7 +108,7 @@ func (b *cosineBatcher) ScoreInto(dst []float64, u uint32, cands []uint32) {
 		b.scratch.Stamp(pu)
 	}
 	for i, v := range cands {
-		nv := st.norms[v]
+		nv := d.Norm(v)
 		if nv == 0 {
 			dst[i] = 0
 			continue

@@ -76,8 +76,8 @@ func TestPrepareIncrementalMatchesPrepare(t *testing.T) {
 
 // TestIncrementalAppendBatchGrowsCache pushes a batch of appended users
 // through every metric's binding — enough to force the per-user and
-// per-item state (cosine's norm cache, Adamic–Adar's weight table) to
-// reallocate several times — and checks the binding still matches a
+// per-item state (the dataset's norm cache, Adamic–Adar's weight table)
+// to reallocate several times — and checks the binding still matches a
 // fresh preparation for every pair touching the appended range. This
 // covers the single-step growth in Refresh, including an ID jump past
 // the end, which grows a table by more than one slot at once.

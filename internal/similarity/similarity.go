@@ -7,14 +7,14 @@
 // (§III-D), and are covered by property-based tests.
 //
 // A metric is bound to a dataset once, via Prepare, which precomputes its
-// per-user or per-item state (cosine's norms, Adamic–Adar's 1/ln|IPi|
-// table; nothing for the count-based metrics). The returned Binding
-// serves every scoring form over that one state: the pairwise reference
-// Pair, the one-vs-many kernels of batch.go (Batch), and Refresh, which
-// keeps the state exact as the dataset grows. Every similarity
-// evaluation performed by an algorithm flows through a Pair wrapped with
-// Counted or a kernel wrapped with CountedBatch, giving the scan-rate
-// metric of §IV-C for free.
+// per-item state (Adamic–Adar's 1/ln|IPi| table; cosine reads the
+// dataset's own norm cache, and the count-based metrics need nothing).
+// The returned Binding serves every scoring form over that one state:
+// the pairwise reference Pair, the one-vs-many kernels of batch.go
+// (Batch), and Refresh, which keeps the state exact as the dataset
+// grows. Every similarity evaluation performed by an algorithm flows
+// through a Pair wrapped with Counted or a kernel wrapped with
+// CountedBatch, giving the scan-rate metric of §IV-C for free.
 //
 // Pair is the reference implementation; the hot construction loops score
 // through the kernels, and single-profile queries through the counting
@@ -113,41 +113,24 @@ type Cosine struct{}
 // Name implements Metric.
 func (Cosine) Name() string { return "cosine" }
 
-// Prepare implements Metric; it precomputes every user's profile norm.
+// Prepare implements Metric. Cosine keeps no state of its own: it reads
+// the dataset's norm cache (Dataset.Norm), built with the item index and
+// kept current by the dataset's mutators, so Refresh has nothing to do.
 func (Cosine) Prepare(d *dataset.Dataset) Binding {
-	st := &cosineState{d: d, norms: make([]float64, len(d.Users))}
-	for i, u := range d.Users {
-		st.norms[i] = sparse.Norm(u)
-	}
+	d.EnsureItemProfiles()
 	return Binding{
-		Pair:    st.pair,
-		Batch:   func() Batcher { return &cosineBatcher{st: st} },
-		Refresh: st.refresh,
+		Pair:    func(u, v uint32) float64 { return cosinePair(d, u, v) },
+		Batch:   func() Batcher { return &cosineBatcher{d: d} },
+		Refresh: func(uint32) {},
 	}
 }
 
-// cosineState is cosine's binding: the profile source and the norm
-// cache.
-type cosineState struct {
-	d     *dataset.Dataset
-	norms []float64
-}
-
-// refresh re-derives u's cached norm, growing the cache in one step for
-// appended users (even past an ID jump).
-func (st *cosineState) refresh(u uint32) {
-	if n := int(u) + 1; n > len(st.norms) {
-		st.norms = append(st.norms, make([]float64, n-len(st.norms))...)
-	}
-	st.norms[u] = sparse.Norm(st.d.Users[u])
-}
-
-func (st *cosineState) pair(u, v uint32) float64 {
-	nu, nv := st.norms[u], st.norms[v]
+func cosinePair(d *dataset.Dataset, u, v uint32) float64 {
+	nu, nv := d.Norm(u), d.Norm(v)
 	if nu == 0 || nv == 0 {
 		return 0
 	}
-	return sparse.Dot(st.d.Users[u], st.d.Users[v]) / (nu * nv)
+	return sparse.Dot(d.Users[u], d.Users[v]) / (nu * nv)
 }
 
 // Jaccard is Jaccard's coefficient |A∩B| / |A∪B| over the profile item

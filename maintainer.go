@@ -53,9 +53,9 @@ type Maintainer struct {
 	sets  *rcs.Sets
 	// kernel is the evaluation-counted one-vs-many kernel over the
 	// metric's binding to d, and refresh is that binding's Refresh: it
-	// patches the prepared state (norms, item weights) per mutated user,
-	// so a mutation costs O(changed profile), not a full O(|U|)
-	// re-preparation.
+	// patches the prepared state (Adamic–Adar's item weights) per
+	// mutated user, so a mutation costs O(changed profile), not a full
+	// O(|U|) re-preparation.
 	kernel  similarity.Batcher
 	refresh func(uint32)
 	evals   atomic.Int64
