@@ -62,6 +62,7 @@ var benchTolerances = map[string]float64{
 	"rcs-build":                    1.6,
 	"kiff-build":                   1.6,
 	"kiff-build-wiki05":            1.6,
+	"maintainer-build":             1.6,
 	"kiff-build-bucketed":          1.6,
 	"graph-encode":                 1.5,
 	"graph-decode":                 1.5,
@@ -109,6 +110,7 @@ var validBenchNames = []string{
 	"rcs-build",
 	"kiff-build",
 	"kiff-build-wiki05",
+	"maintainer-build",
 	"kiff-build-bucketed",
 	"graph-encode",
 	"graph-decode",
@@ -278,14 +280,17 @@ func runBenchOut(path string, opts benchOptions, stderr io.Writer) error {
 	}
 
 	// Construction cost-curve benches at 10× the fixture population
-	// (wikipedia scale 0.5): the standard KIFF baseline and the bucketed
+	// (wikipedia scale 0.5): the standard KIFF baseline, the serving cold
+	// build (NewMaintainer: one exact walk per user), and the bucketed
 	// divide-and-conquer builder at its benchmark operating point (5 bands
-	// × 96-user buckets × 1 sweep). Both rows carry the §IV-C quality/cost
-	// observables — exact recall and the deterministic SimEvals count —
-	// and the bucketed row records its SimEvals as a ratio of the standard
-	// build's, the headline of the sub-quadratic trade.
+	// × 96-user buckets × 1 sweep). Every row carries exact recall; the
+	// KIFF and bucketed rows also carry the §IV-C cost observable, the
+	// deterministic SimEvals count, and the bucketed row records its
+	// SimEvals as a ratio of the standard build's, the headline of the
+	// sub-quadratic trade.
 	var floorErr error
-	if filter.selects("kiff-build-wiki05") || filter.selects("kiff-build-bucketed") || opts.RecallFloor > 0 {
+	if filter.selects("kiff-build-wiki05") || filter.selects("maintainer-build") ||
+		filter.selects("kiff-build-bucketed") || opts.RecallFloor > 0 {
 		d05, err := dataset.Wikipedia.Generate(0.5, 3)
 		if err != nil {
 			return err
@@ -321,6 +326,25 @@ func runBenchOut(path string, opts benchOptions, stderr io.Writer) error {
 		if r := findBench(report, "kiff-build-wiki05"); r != nil {
 			r.Recall = stdRecall
 			r.SimEvalsPerOp = float64(stdRes.Run.SimEvals)
+		}
+		if filter.selects("maintainer-build") {
+			m, err := kiff.NewMaintainer(d05, stdOpts)
+			if err != nil {
+				return err
+			}
+			recall, err := kiff.Recall(d05, m.Graph(), stdOpts, 0)
+			if err != nil {
+				return err
+			}
+			add("maintainer-build", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := kiff.NewMaintainer(d05, stdOpts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			findBench(report, "maintainer-build").Recall = recall
 		}
 		add("kiff-build-bucketed", func(b *testing.B) {
 			b.ReportAllocs()

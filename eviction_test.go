@@ -7,21 +7,19 @@ package kiff
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"kiff/internal/dataset"
-	"kiff/internal/rcs"
 	"kiff/internal/shard"
 	"kiff/internal/similarity"
 )
 
-// fullScanRebuild is the reference eviction: Maintainer.Rebuild as it was
-// when eviction scanned all |U|·k heap entries for references to a
-// rebuilt user. The test streams attach no write-ahead log, so it skips
-// the logging step.
+// fullScanRebuild is the reference eviction: Maintainer.Rebuild with its
+// eviction replaced by a scan of all |U|·k heap entries for references to
+// a rebuilt user, before any user is offered back through the walk. The
+// test streams attach no write-ahead log, so it skips the logging step.
 func fullScanRebuild(m *Maintainer, dirty []uint32) error {
 	if dirty == nil {
 		dirty = m.Dirty()
@@ -43,7 +41,6 @@ func fullScanRebuild(m *Maintainer, dirty []uint32) error {
 	}
 	slices.Sort(order)
 	for _, u := range order {
-		m.sets.PatchUser(m.d, u, m.rcsOpts())
 		m.heaps.Clear(u)
 	}
 	var ids []uint32
@@ -59,7 +56,8 @@ func fullScanRebuild(m *Maintainer, dirty []uint32) error {
 		}
 	}
 	for _, u := range order {
-		m.refineUser(u)
+		cands, sims, _ := m.walk.Row(m.d, m.metric, u, m.minRating)
+		m.offer(u, cands, sims)
 		delete(m.dirty, u)
 	}
 	m.rebuilds++
@@ -243,35 +241,6 @@ func TestRebuildEvictionMatchesFullScan(t *testing.T) {
 		}
 	}
 
-	// Start each rebuild with the visit-stamp epoch at the edge of its
-	// range: without the reset, the target's epoch would wrap to the zero
-	// unvisited users hold and the walk would skip them.
-	t.Run("wikipedia/cosine/epoch-wrap", func(t *testing.T) {
-		base, err := GeneratePreset("wikipedia", 0.1, 17)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, ref := evictPair(t, base, Options{K: 5}, false)
-		d := m.Dataset()
-		rng := rand.New(rand.NewSource(99))
-		for round := 0; round < 10; round++ {
-			u := uint32(rng.Intn(d.NumUsers()))
-			item := uint32(rng.Intn(d.NumItems()))
-			for d.User(u).Contains(item) {
-				item = uint32(rng.Intn(d.NumItems()))
-			}
-			m.epoch = math.MaxUint32 - 1
-			for _, mu := range []mutator{m, fullScanShard{maintainerShard{ref}}} {
-				if err := mu.AddRating(u, item, 1); err != nil {
-					t.Fatal(err)
-				}
-				if err := mu.Rebuild(nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			requireMatchesReference(t, round, m, ref)
-		}
-	})
 }
 
 // evictPair returns two maintainers over separate copies of base:
@@ -422,9 +391,9 @@ func TestRebuildLeavesNoStaleSimilarity(t *testing.T) {
 
 	// The MinRating corner, constructed rather than drawn: user u re-rates
 	// below the threshold the only item it shares above the threshold with
-	// a holder v (v's heap lists u). u's filtered candidate list then
-	// misses v, yet v's entry for u is stale — the eviction walk over u's
-	// raw item rows must still reach it.
+	// a holder v (v's heap lists u). v is then no candidate of u, yet v's
+	// entry for u is stale — the eviction over u's raw item rows must
+	// still reach it.
 	t.Run("gowalla/cosine/min=3/filtered-holder", func(t *testing.T) {
 		const minRating = 3
 		d, err := GeneratePreset("gowalla", 0.01, 23)
@@ -451,7 +420,7 @@ func TestRebuildLeavesNoStaleSimilarity(t *testing.T) {
 		if err := m.AddRating(u, item, 1); err != nil {
 			t.Fatal(err)
 		}
-		if slices.Contains(rcs.CandidatesFor(d, u, rcs.BuildOptions{MinRating: minRating}), v) {
+		if _, n := sharedAbove(d.User(u), d.User(v), minRating); n != 0 {
 			t.Fatalf("user %d is still a filtered candidate of %d: the case is not exercised", v, u)
 		}
 		if err := m.Rebuild(nil); err != nil {

@@ -11,6 +11,11 @@
 // The loop stops when the average number of heap changes per user in an
 // iteration falls below the termination threshold β.
 //
+// The package also holds the counting walk (Walker, walk.go): the counting
+// phase for one profile at a time with scoring moved into the count,
+// which answers single-profile queries (Index) and builds and maintains
+// the serving graph (kiff.Maintainer), exactly, with no candidate list.
+//
 // The algorithm is plugged into kiff/internal/engine (see builder.go):
 // Build below is a thin adapter that maps Config onto engine.Options, so
 // KIFF shares its option normalization, metric preparation and runstats

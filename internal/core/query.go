@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"kiff/internal/dataset"
@@ -24,13 +23,14 @@ import (
 // classification workloads of §I). The same Eq. (5)/(6) argument applies:
 // with an unlimited budget the result is the exact KNN of the query.
 //
-// A query runs the machinery of the builders: the counting phase bins
-// the profile into the item profiles with epoch-stamped dense counters
-// and, where the metric asks for it (similarity.Metric.Walk), sums each
-// candidate's weighted overlap on the way; a budget is cut by packed rank
-// keys (rcs.SelectRanked); each candidate's score is finished from its
-// count and sum in O(1) (similarity.Metric.ScoreProfile); and the answer
-// is kept in a bounded top-k.
+// A query is one counting walk (Walker), the loop that also builds and
+// maintains the serving graph: it bins the profile into the item
+// profiles with epoch-stamped dense counters and, where the metric asks
+// for it (similarity.Metric.Walk), sums each candidate's weighted
+// overlap on the way; a budget is cut by packed rank keys
+// (rcs.SelectRanked); each candidate's score is finished from its count
+// and sum in O(1) (similarity.Metric.ScoreProfile); and the answer is
+// kept in a bounded top-k.
 //
 // An Index never mutates its dataset after construction and holds no
 // per-query state: the counters and buffers come from a process-wide
@@ -95,49 +95,26 @@ func (ix *Index) Query(profile sparse.Vector, k, budget int) ([]knngraph.Neighbo
 	if err := profile.Validate(); err != nil {
 		return nil, fmt.Errorf("kiff: query profile: %w", err)
 	}
-	qs := queryPool.Get().(*queryScratch)
-	defer queryPool.Put(qs)
-	return ix.query(qs, profile, k, budget), nil
+	w := queryPool.Get().(*Walker)
+	defer queryPool.Put(w)
+	return ix.query(w, profile, k, budget), nil
 }
 
-// queryPool holds the per-query scratch. It is shared by every Index, so
+// queryPool holds the per-query walkers. It is shared by every Index, so
 // the shards of a pool (and successive snapshots) reuse one set of
 // counters per concurrent query rather than one per index.
-var queryPool = sync.Pool{New: func() any { return new(queryScratch) }}
+var queryPool = sync.Pool{New: func() any { return new(Walker) }}
 
-// queryScratch is one query's reusable memory.
-type queryScratch struct {
-	// slots counts candidates over the user domain. A slot belongs to the
-	// current query iff its epoch equals epoch, so starting a query is an
-	// increment, not a clear.
-	slots []countSlot
-	// sums holds the walk's per-candidate sums beside the slots, valid
-	// where the slot is current. A separate array keeps the count-only
-	// walk's slots at 8 bytes.
-	sums    []float64
-	epoch   uint32
-	touched []uint32 // candidates of the current query, in discovery order
-	keys    []uint64 // rcs rank keys, for the budget cut
-	common  []int32  // shared-item counts aligned with the scored candidates
-	sims    []float64
-	pivot   similarity.Pivot
-}
+func (ix *Index) query(w *Walker, profile sparse.Vector, k, budget int) []knngraph.Neighbor {
+	walk := w.pivot.Bind(ix.d, profile, ix.metric)
+	defer w.pivot.Release()
+	w.count(ix.d, w.pivot.Indexed(), walk)
 
-type countSlot struct {
-	epoch uint32
-	count int32
-}
-
-func (ix *Index) query(qs *queryScratch, profile sparse.Vector, k, budget int) []knngraph.Neighbor {
-	walk := qs.pivot.Bind(ix.d, profile, ix.metric)
-	defer qs.pivot.Release()
-	qs.count(ix.d, qs.pivot.Indexed(), walk)
-
-	cands, common := qs.touched, qs.common[:0]
+	cands, common := w.touched, w.common[:0]
 	if budget >= 0 && budget < len(cands) {
-		keys := qs.keys[:0]
+		keys := w.keys[:0]
 		for _, v := range cands {
-			keys = append(keys, rcs.RankKey(qs.slots[v].count, v))
+			keys = append(keys, rcs.RankKey(w.slots[v].count, v))
 		}
 		rcs.SelectRanked(keys, budget)
 		cands = cands[:0]
@@ -145,21 +122,14 @@ func (ix *Index) query(qs *queryScratch, profile sparse.Vector, k, budget int) [
 			cands = append(cands, rcs.RankKeyUser(key))
 			common = append(common, rcs.RankKeyCount(key))
 		}
-		qs.keys = keys
+		w.keys = keys
 	} else {
 		for _, v := range cands {
-			common = append(common, qs.slots[v].count)
+			common = append(common, w.slots[v].count)
 		}
 	}
-	qs.common = common
-	sims := slices.Grow(qs.sims[:0], len(cands))[:len(cands)]
-	qs.sims = sims
-	if walk.Terms != nil {
-		for i, v := range cands {
-			sims[i] = qs.sums[v]
-		}
-	}
-	ix.metric.ScoreProfile(sims, &qs.pivot, cands, common)
+	w.common = common
+	sims := w.score(ix.metric, walk, cands, common)
 
 	n := min(k, len(cands))
 	top := knngraph.NewTopK(make([]knngraph.Neighbor, 0, n), n)
@@ -167,63 +137,4 @@ func (ix *Index) query(qs *queryScratch, profile sparse.Vector, k, budget int) [
 		top.Push(knngraph.Neighbor{ID: v, Sim: sims[i]})
 	}
 	return top.Sorted()
-}
-
-// count is the counting phase for one profile: it bins the items into
-// src's item profiles, leaving every user sharing at least one of them in
-// qs.touched with its shared-item count in qs.slots and, unless the walk
-// only counts, its sum in qs.sums. items ascend, so each candidate's sum
-// adds its terms in ascending item order, starting at +0 — the order of
-// the pairwise merge.
-func (qs *queryScratch) count(src profileSource, items []uint32, walk similarity.Walk) {
-	if n := src.NumUsers(); n > len(qs.slots) {
-		// Geometric growth: a population that creeps up by one insert at
-		// a time must not reallocate per query. New slots carry epoch 0,
-		// which is never current.
-		grown := make([]countSlot, max(n, 2*len(qs.slots)))
-		copy(grown, qs.slots)
-		qs.slots = grown
-	}
-	if walk.Terms != nil && len(qs.sums) < len(qs.slots) {
-		qs.sums = make([]float64, len(qs.slots))
-	}
-	qs.epoch++
-	if qs.epoch == 0 { // wrapped: stale stamps could collide; hard-reset
-		clear(qs.slots)
-		qs.epoch = 1
-	}
-	ep, slots, sums, touched := qs.epoch, qs.slots, qs.sums, qs.touched[:0]
-	if walk.Terms == nil {
-		for _, it := range items {
-			for _, r := range src.Raters(it) {
-				s := &slots[r.User]
-				if s.epoch != ep {
-					*s = countSlot{epoch: ep, count: 1}
-					touched = append(touched, r.User)
-				} else {
-					s.count++
-				}
-			}
-		}
-	} else {
-		for j, it := range items {
-			t := walk.Terms[j]
-			for _, r := range src.Raters(it) {
-				s := &slots[r.User]
-				if s.epoch != ep {
-					*s = countSlot{epoch: ep, count: 1}
-					sums[r.User] = 0
-					touched = append(touched, r.User)
-				} else {
-					s.count++
-				}
-				if walk.Rated {
-					sums[r.User] += t * r.Rating()
-				} else {
-					sums[r.User] += t
-				}
-			}
-		}
-	}
-	qs.touched = touched
 }

@@ -164,7 +164,7 @@ func TestQueryBitIdenticalToReference(t *testing.T) {
 
 // forceWrap puts the counting epoch on the verge of wrap-around, so the
 // next query exercises the hard reset.
-func (qs *queryScratch) forceWrap() { qs.epoch = math.MaxUint32 }
+func (w *Walker) forceWrap() { w.epoch = math.MaxUint32 }
 
 // TestQueryCountingEpochWrap: a query that wraps the counting epoch must
 // hard-reset the stamps (no stale slot may alias the new epoch) and still
@@ -175,7 +175,7 @@ func TestQueryCountingEpochWrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := NewIndex(d, nil)
-	qs := new(queryScratch)
+	qs := new(Walker)
 	ix.query(qs, d.Users[1], 10, -1)
 	qs.forceWrap()
 	p := d.Users[2]
@@ -192,7 +192,7 @@ func TestQueryCountingEpochWrap(t *testing.T) {
 			t.Fatalf("slot %d = %+v survived the hard reset", v, s)
 		}
 	}
-	want := ix.query(new(queryScratch), p, 10, -1)
+	want := ix.query(new(Walker), p, 10, -1)
 	if !slices.Equal(got, want) {
 		t.Fatalf("after wrap: %v, fresh scratch: %v", got, want)
 	}

@@ -161,20 +161,19 @@ type Session struct {
 	// one (Table V); zero otherwise.
 	RCS rcs.BuildStats
 
-	// binding is the metric bound to Dataset; batch mints its
-	// evaluation-counted one-vs-many kernels.
-	binding similarity.Binding
-	batch   similarity.BatchFactory
-	evals   atomic.Int64
-	start   time.Time
+	// batch mints evaluation-counted one-vs-many kernels over the metric
+	// bound to Dataset.
+	batch similarity.BatchFactory
+	evals atomic.Int64
+	start time.Time
 }
 
 func newSession(b Builder, d *dataset.Dataset, o Options) *Session {
 	s := &Session{Dataset: d, Opts: o, start: time.Now()}
 	prepStart := time.Now()
-	s.binding = o.Metric.Prepare(d)
-	s.Sim = similarity.Counted(s.binding.Pair, &s.evals)
-	s.batch = similarity.CountedBatch(s.binding.Batch, &s.evals)
+	binding := o.Metric.Prepare(d)
+	s.Sim = similarity.Counted(binding.Pair, &s.evals)
+	s.batch = similarity.CountedBatch(binding.Batch, &s.evals)
 	s.Heaps = knnheap.NewSet(d.NumUsers(), o.K)
 	s.Wall.Add(runstats.PhasePreprocess, time.Since(prepStart))
 	s.Run = runstats.Run{Algorithm: b.Name(), NumUsers: d.NumUsers(), K: o.K}
@@ -215,7 +214,7 @@ func (s *Session) finalize() *Result {
 	for p := runstats.PhasePreprocess; p <= runstats.PhaseSimilarity; p++ {
 		s.Run.PhaseTimes[p] = s.Wall.Duration(p) + s.Work.Duration(p)/time.Duration(w)
 	}
-	return &Result{Graph: knngraph.FromSet(s.Heaps), Run: s.Run, RCS: s.RCS, Heaps: s.Heaps, Binding: s.binding}
+	return &Result{Graph: knngraph.FromSet(s.Heaps), Run: s.Run, RCS: s.RCS}
 }
 
 // Result is the outcome of an engine run.
@@ -228,14 +227,6 @@ type Result struct {
 	// RCS reports KIFF's counting-phase statistics (zero for builders
 	// without a counting phase).
 	RCS rcs.BuildStats
-	// Heaps is the live neighborhood set backing Graph. Batch callers
-	// ignore it; incremental maintenance (kiff.Maintainer) keeps it to
-	// continue updating the graph in place.
-	Heaps *knnheap.Set
-	// Binding is the metric bound to the input dataset, without the
-	// run's evaluation counter. Incremental maintenance adopts it, with
-	// Heaps, instead of preparing the metric again.
-	Binding similarity.Binding
 }
 
 // Build constructs a KNN graph with the registered builder named algo,

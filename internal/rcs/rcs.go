@@ -57,14 +57,15 @@ type BuildOptions struct {
 }
 
 // Sets holds one ranked candidate list per user plus the iteration cursors
-// used by the refinement phase's top-pop operation.
+// used by the refinement phase's top-pop operation. Only a batch build
+// (kiff.Build and the experiments) keeps candidate lists; the serving
+// graph is built and maintained by the counting walk (core.Walker),
+// which scores each candidate as it finds it and keeps no list.
 //
-// Batch-built lists are views into per-worker-block arenas (internal/
-// arena): one contiguous backing array per block instead of one heap
-// allocation per user, so iterating the sets in user order walks memory
-// almost sequentially. PatchUser replaces individual rows with standalone
-// slices; mixing the two storage kinds is fine because rows are only ever
-// read through their views.
+// The lists are views into per-worker-block arenas (internal/arena): one
+// contiguous backing array per block instead of one heap allocation per
+// user, so iterating the sets in user order walks memory almost
+// sequentially.
 type Sets struct {
 	lists   [][]uint32
 	counts  [][]int32 // nil unless KeepCounts
@@ -286,90 +287,6 @@ func Build(d *dataset.Dataset, opts BuildOptions) *Sets {
 		s.BuildStats.AvgLen = float64(total) / float64(n)
 	}
 	return s
-}
-
-// NewSets returns an empty Sets sized for n users, with every candidate
-// list empty. It is the starting point for incremental maintenance, where
-// candidate lists are computed on demand via PatchUser rather than in a
-// batch counting phase.
-func NewSets(n int) *Sets {
-	return &Sets{
-		lists:   make([][]uint32, n),
-		cursors: make([]int, n),
-	}
-}
-
-// CandidatesFor computes the ranked candidate list of a single user
-// against the dataset's *current* item profiles — the incremental
-// counterpart of Build for a user that was just added or whose profile
-// changed. Unlike Build's pivoted sets, the returned list is complete
-// (every overlapping user regardless of ID): maintenance evaluates u
-// against all of them and relies on the symmetric heap update to refresh
-// both directions. Only opts.MinRating is honored; Shuffle and the pivot
-// rule do not apply to patching. Unlike Build, opts.MinRating is applied
-// as given: callers on binary datasets must pass 0 (Build gates this
-// itself once per batch; re-scanning all profiles here, per patched
-// user, would make a mutation stream quadratic).
-func CandidatesFor(d *dataset.Dataset, u uint32, opts BuildOptions) []uint32 {
-	d.EnsureItemProfiles()
-	minRating := opts.MinRating
-	profile := d.Users[u]
-	counts := make(map[uint32]int32)
-	for idx, it := range profile.IDs {
-		if minRating > 0 && profile.Weight(idx) < minRating {
-			continue
-		}
-		for _, r := range d.Raters(it) {
-			if r.User == u || minRating > 0 && r.Rating() < minRating {
-				continue
-			}
-			counts[r.User]++
-		}
-	}
-	keys := make([]uint64, 0, len(counts))
-	for v, c := range counts {
-		keys = append(keys, RankKey(c, v))
-	}
-	slices.Sort(keys)
-	list := make([]uint32, 0, len(keys))
-	for _, k := range keys {
-		list = append(list, RankKeyUser(k))
-	}
-	return list
-}
-
-// PatchUser installs the freshly computed candidate list of user u and
-// rewinds u's cursor, keeping BuildStats consistent. u == NumUsers()
-// appends a slot for a user that was just added to the dataset. Patched
-// lists carry no shared-item counts even when the sets were built with
-// KeepCounts (the correlation experiments that need counts operate on
-// batch-built sets).
-func (s *Sets) PatchUser(d *dataset.Dataset, u uint32, opts BuildOptions) {
-	list := CandidatesFor(d, u, opts)
-	switch {
-	case int(u) < len(s.lists):
-		s.BuildStats.TotalCandidates -= len(s.lists[u])
-		if s.counts != nil {
-			s.counts[u] = nil
-		}
-	case int(u) == len(s.lists):
-		s.lists = append(s.lists, nil)
-		s.cursors = append(s.cursors, 0)
-		if s.counts != nil {
-			s.counts = append(s.counts, nil)
-		}
-	default:
-		panic("rcs: PatchUser beyond NumUsers()")
-	}
-	s.lists[u] = list
-	s.cursors[u] = 0
-	s.BuildStats.TotalCandidates += len(list)
-	if len(list) > s.BuildStats.MaxLen {
-		s.BuildStats.MaxLen = len(list)
-	}
-	if n := len(s.lists); n > 0 {
-		s.BuildStats.AvgLen = float64(s.BuildStats.TotalCandidates) / float64(n)
-	}
 }
 
 // NumUsers returns the number of candidate sets.

@@ -100,7 +100,8 @@ type Run struct {
 // the facade.
 type Counters struct {
 	// SimEvals counts every similarity evaluation performed by
-	// maintenance operations (the §IV-C cost metric, served cumulatively).
+	// maintenance operations (the §IV-C cost metric, served cumulatively):
+	// the candidates the maintenance walks scored.
 	SimEvals int64
 	// Inserts counts users added via Insert/InsertBatch.
 	Inserts int64
@@ -108,9 +109,6 @@ type Counters struct {
 	Rebuilds int64
 	// RebuiltUsers counts users refreshed across all Rebuild passes.
 	RebuiltUsers int64
-	// Iterations counts the refinement chunks maintenance ran (the
-	// maintained counterpart of Run.Iterations).
-	Iterations int64
 	// WallNs is the cumulative wall time of Insert, InsertBatch and
 	// Rebuild calls, in nanoseconds (summed over shards in aggregates).
 	WallNs int64
@@ -147,7 +145,6 @@ func (c *Counters) Add(o Counters) {
 	c.Inserts += o.Inserts
 	c.Rebuilds += o.Rebuilds
 	c.RebuiltUsers += o.RebuiltUsers
-	c.Iterations += o.Iterations
 	c.WallNs += o.WallNs
 	c.Publishes += o.Publishes
 	c.PagesCopied += o.PagesCopied

@@ -567,13 +567,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.pool != nil {
 		// Cumulative maintenance counters, summed over shards: what
 		// serving-time freshness has cost so far — similarity
-		// evaluations, refinement iterations and wall time, inserted
-		// users, rebuild passes and the users they refreshed.
+		// evaluations and wall time, inserted users, rebuild passes and
+		// the users they refreshed.
 		c := s.pool.Counters()
 		resp["shards"] = shardStatsJSON(s.pool.ShardStats())
 		resp["maintain"] = map[string]any{
 			"sim_evals":     c.SimEvals,
-			"iterations":    c.Iterations,
 			"wall_ns":       c.WallNs,
 			"inserts":       c.Inserts,
 			"rebuilds":      c.Rebuilds,

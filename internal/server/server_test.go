@@ -205,7 +205,6 @@ func TestServerEndToEnd(t *testing.T) {
 		Queries  int64  `json:"queries"`
 		Maintain *struct {
 			SimEvals     int64 `json:"sim_evals"`
-			Iterations   int64 `json:"iterations"`
 			WallNs       int64 `json:"wall_ns"`
 			Inserts      int64 `json:"inserts"`
 			Rebuilds     int64 `json:"rebuilds"`
@@ -216,8 +215,8 @@ func TestServerEndToEnd(t *testing.T) {
 	if stats.ReadOnly || stats.Version < 2 || stats.Queries == 0 || stats.Maintain == nil || stats.Maintain.SimEvals == 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	if stats.Maintain.Iterations == 0 || stats.Maintain.WallNs == 0 {
-		t.Fatalf("maintain iterations/wall_ns = %+v, want both counted", *stats.Maintain)
+	if stats.Maintain.WallNs == 0 {
+		t.Fatalf("maintain wall_ns = %+v, want it counted", *stats.Maintain)
 	}
 	// The maintenance counters must reflect the applied mutations: every
 	// insert counted, at least one rebuild pass over at least as many

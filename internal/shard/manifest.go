@@ -80,7 +80,7 @@ func WalFile(i int) string { return fmt.Sprintf("wal.%d.kfl", i) }
 // its capture and the log rotation below would be discarded by that
 // rotation. Concurrent reads keep serving; concurrent mutations block.
 //
-// With logs attached (see WALMaintainer) the shard files and manifest
+// With logs attached (see Pool.OpenWAL) the shard files and manifest
 // are written durably (fsynced through the rename), then each shard's
 // log is rotated — the rotation only ever discards records the durable
 // checkpoint covers. A crash anywhere in between leaves either the old
@@ -114,7 +114,7 @@ func (p *Pool) Save(dir string) error {
 	}
 	logged := 0
 	for _, sl := range p.shards {
-		if wm, ok := sl.m.(WALMaintainer); ok && wm.WALAttached() {
+		if sl.m.WALAttached() {
 			logged++
 		}
 	}
@@ -125,7 +125,7 @@ func (p *Pool) Save(dir string) error {
 	if walled {
 		man.WalLSNs = make([]uint64, len(p.shards))
 		for i, sl := range p.shards {
-			man.WalLSNs[i] = sl.m.(WALMaintainer).WALLastLSN()
+			man.WalLSNs[i] = sl.m.WALLastLSN()
 		}
 	}
 	persist := fsio.Write
@@ -152,7 +152,7 @@ func (p *Pool) Save(dir string) error {
 	}
 	if walled {
 		for i, sl := range p.shards {
-			if err := sl.m.(WALMaintainer).WALRotate(); err != nil {
+			if err := sl.m.WALRotate(); err != nil {
 				return fmt.Errorf("shard: save: rotate shard %d log: %w", i, err)
 			}
 		}

@@ -98,6 +98,12 @@ type Reader interface {
 // kiff.Maintainer the pool drives, plus Reader giving the current
 // published view. Implementations are single-writer; the pool serializes
 // calls per shard behind the shard lock.
+//
+// The WAL methods are the shard's durability: Pool.OpenWAL attaches the
+// logs, and Save uses them to record each shard's log horizon in the
+// manifest and to rotate the logs once the checkpoint is durably
+// complete — either every shard logs or none; a mixed pool (one whose
+// OpenWAL failed halfway) is an error Save rejects.
 type Maintainer interface {
 	InsertBatch(ps []sparse.Vector) ([]uint32, error)
 	AddRating(u uint32, item uint32, rating float64) error
@@ -106,15 +112,7 @@ type Maintainer interface {
 	Graph() *knngraph.Graph
 	Dataset() *dataset.Dataset
 	Counters() runstats.Counters
-}
 
-// WALMaintainer is the optional durability extension of Maintainer: a
-// shard whose maintainer can write-ahead-log its mutations
-// (kiff.Maintainer implements it). OpenWAL attaches the logs; Save uses
-// them to record each shard's log horizon in the manifest and to rotate
-// the logs once the checkpoint is durably complete — either every shard
-// logs or none; a mixed pool is a configuration error Save rejects.
-type WALMaintainer interface {
 	// OpenWAL opens (creating if absent) the log at path, replays the
 	// records above opts.FromLSN onto the maintainer, and attaches it.
 	OpenWAL(path string, opts wal.Options) (wal.ReplayStats, error)
@@ -138,8 +136,7 @@ type WALMaintainer interface {
 // shard's log or fails.
 func (p *Pool) WALAttached() bool {
 	for _, sl := range p.shards {
-		wm, ok := sl.m.(WALMaintainer)
-		if !ok || !wm.WALAttached() {
+		if !sl.m.WALAttached() {
 			return false
 		}
 	}
@@ -152,8 +149,8 @@ func (p *Pool) WALAttached() bool {
 func (p *Pool) WALCounters() wal.Counters {
 	var out wal.Counters
 	for _, sl := range p.shards {
-		if wm, ok := sl.m.(WALMaintainer); ok && wm.WALAttached() {
-			c := wm.WALCounters()
+		if sl.m.WALAttached() {
+			c := sl.m.WALCounters()
 			out.Appended += c.Appended
 			out.AppendedBytes += c.AppendedBytes
 			out.Fsyncs += c.Fsyncs
@@ -171,10 +168,8 @@ func (p *Pool) WALCounters() wal.Counters {
 func (p *Pool) WALError() error {
 	var errs []error
 	for i, sl := range p.shards {
-		if wm, ok := sl.m.(WALMaintainer); ok {
-			if err := wm.WALError(); err != nil {
-				errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
-			}
+		if err := sl.m.WALError(); err != nil {
+			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
 		}
 	}
 	return errors.Join(errs...)
@@ -207,11 +202,6 @@ func (p *Pool) OpenWAL(dir string, opts wal.Options) (wal.ReplayStats, error) {
 	errs := make([]error, len(p.shards))
 	parallel.For(len(p.shards), len(p.shards), func(_, i int) {
 		sl := p.shards[i]
-		wm, ok := sl.m.(WALMaintainer)
-		if !ok {
-			errs[i] = fmt.Errorf("shard %d: maintainer cannot write-ahead-log", i)
-			return
-		}
 		so := opts
 		so.FromLSN = 0
 		if p.walFrom != nil {
@@ -219,7 +209,7 @@ func (p *Pool) OpenWAL(dir string, opts wal.Options) (wal.ReplayStats, error) {
 		}
 		sl.mu.Lock()
 		defer sl.mu.Unlock()
-		st, err := wm.OpenWAL(filepath.Join(dir, WalFile(i)), so)
+		st, err := sl.m.OpenWAL(filepath.Join(dir, WalFile(i)), so)
 		if err != nil {
 			errs[i] = fmt.Errorf("shard %d: %w", i, err)
 			return
@@ -315,12 +305,8 @@ func claimWALDir(dir string, n int) error {
 func (p *Pool) CloseWAL() error {
 	var errs []error
 	for i, sl := range p.shards {
-		wm, ok := sl.m.(WALMaintainer)
-		if !ok {
-			continue
-		}
 		sl.mu.Lock()
-		err := wm.CloseWAL()
+		err := sl.m.CloseWAL()
 		sl.mu.Unlock()
 		if err != nil {
 			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))

@@ -14,7 +14,7 @@
 // property tests in batch_test.go pin exactly that, and it is what keeps
 // recall and SimEvals byte-identical whichever path a builder takes. A
 // kernel reads the same state as its binding's Pair (the dataset's
-// norms, Adamic–Adar's weights), so one Refresh keeps both exact.
+// norms, Adamic–Adar's weights).
 //
 // Pivots whose ID span would need an oversized accumulator (see
 // maxScratchDomain) fall back to the pairwise function, which itself

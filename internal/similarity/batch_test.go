@@ -135,42 +135,6 @@ func TestBatchKernelReuseAcrossPivots(t *testing.T) {
 	}
 }
 
-// TestIncrementalBatchSharedRefresh: a binding's pairwise function and
-// its kernels share the refreshed state — after mutations plus Refresh,
-// both match a fresh Prepare on every pair, for every metric.
-func TestIncrementalBatchSharedRefresh(t *testing.T) {
-	r := rand.New(rand.NewSource(313))
-	for _, m := range metrics(t) {
-		d := randBatchDataset(r, 15, 30, false)
-		b := m.Prepare(d)
-		kernel := b.Batch()
-		if err := d.AddRating(2, 7, 4); err != nil {
-			t.Fatal(err)
-		}
-		b.Refresh(2)
-		mutateAndRefresh(t, d, b.Refresh, 4, 6)
-
-		fresh := m.Prepare(d)
-		n := uint32(d.NumUsers())
-		scores := make([]float64, 1)
-		for u := uint32(0); u < n; u++ {
-			for v := uint32(0); v < n; v++ {
-				if u == v {
-					continue
-				}
-				want := fresh.Pair(u, v)
-				if got := b.Pair(u, v); got != want {
-					t.Fatalf("%s: refreshed Pair(%d,%d) = %v, fresh = %v", m.Name(), u, v, got, want)
-				}
-				kernel.ScoreInto(scores, u, []uint32{v})
-				if scores[0] != want {
-					t.Fatalf("%s: refreshed kernel(%d,%d) = %v, fresh = %v", m.Name(), u, v, scores[0], want)
-				}
-			}
-		}
-	}
-}
-
 // TestCountedBatchCountsPairs: CountedBatch adds exactly one count per
 // scored pair, matching what Counted would have recorded pairwise.
 func TestCountedBatchCountsPairs(t *testing.T) {

@@ -9,17 +9,17 @@
 // A metric is bound to a dataset once, via Prepare, which precomputes its
 // per-item state (Adamic–Adar's 1/ln|IPi| table; cosine reads the
 // dataset's own norm cache, and the count-based metrics need nothing).
-// The returned Binding serves every scoring form over that one state:
-// the pairwise reference Pair, the one-vs-many kernels of batch.go
-// (Batch), and Refresh, which keeps the state exact as the dataset
-// grows. Every similarity evaluation performed by an algorithm flows
-// through a Pair wrapped with Counted or a kernel wrapped with
+// The returned Binding serves both pairwise scoring forms over that one
+// state: the reference Pair and the one-vs-many kernels of batch.go
+// (Batch). Every similarity evaluation performed by a batch builder
+// flows through a Pair wrapped with Counted or a kernel wrapped with
 // CountedBatch, giving the scan-rate metric of §IV-C for free.
 //
 // Pair is the reference implementation; the hot construction loops score
-// through the kernels, and single-profile queries through the counting
-// walk and ScoreProfile (profile.go). Both are tested bit-for-bit equal
-// to it.
+// through the kernels, and the counting walk — single-profile queries,
+// and the rows that build and maintain the serving graph — through
+// ScoreProfile (profile.go). Both are tested bit-for-bit equal to it.
+// The walk prepares nothing, so it reads a mutated dataset as it is.
 package similarity
 
 import (
@@ -34,21 +34,15 @@ import (
 // Func computes the similarity between two users of the bound dataset.
 type Func func(u, v uint32) float64
 
-// Binding is a metric bound to one dataset: three views of one prepared
-// state. Pair and the kernels Batch mints read profiles through the
-// dataset on every call, so they observe appended users and changed
-// profiles once Refresh has run for them. They are safe for concurrent
-// use while nothing mutates the dataset (the engine's build workers); a
-// mutating owner (the Maintainer) uses them from its single writer.
+// Binding is a metric bound to one dataset: two views of one prepared
+// state, which describes the dataset as Prepare found it. They are safe
+// for concurrent use while nothing mutates the dataset (the engine's
+// build workers).
 type Binding struct {
 	// Pair is the pairwise reference function.
 	Pair Func
 	// Batch mints one-vs-many kernels, each bit-for-bit equal to Pair.
 	Batch BatchFactory
-	// Refresh re-derives the state after user u was appended or its
-	// profile changed, and must run before the next evaluation that
-	// involves u or one of u's items.
-	Refresh func(u uint32)
 }
 
 // Metric is a similarity measure over user profiles.
@@ -115,13 +109,12 @@ func (Cosine) Name() string { return "cosine" }
 
 // Prepare implements Metric. Cosine keeps no state of its own: it reads
 // the dataset's norm cache (Dataset.Norm), built with the item index and
-// kept current by the dataset's mutators, so Refresh has nothing to do.
+// kept current by the dataset's mutators.
 func (Cosine) Prepare(d *dataset.Dataset) Binding {
 	d.EnsureItemProfiles()
 	return Binding{
-		Pair:    func(u, v uint32) float64 { return cosinePair(d, u, v) },
-		Batch:   func() Batcher { return &cosineBatcher{d: d} },
-		Refresh: func(uint32) {},
+		Pair:  func(u, v uint32) float64 { return cosinePair(d, u, v) },
+		Batch: func() Batcher { return &cosineBatcher{d: d} },
 	}
 }
 
@@ -161,33 +154,16 @@ func (AdamicAdar) Prepare(d *dataset.Dataset) Binding {
 		st.invLog[i] = invLogDegree(len(d.Raters(uint32(i))))
 	}
 	return Binding{
-		Pair:    st.pair,
-		Batch:   func() Batcher { return &adamicBatcher{st: st} },
-		Refresh: st.refresh,
+		Pair:  st.pair,
+		Batch: func() Batcher { return &adamicBatcher{st: st} },
 	}
 }
 
 // adamicState is Adamic–Adar's binding: the profile source and the
-// per-item weight table. Readers load invLog through the state on every
-// call, because refresh may reallocate it.
+// per-item weight table.
 type adamicState struct {
 	d      *dataset.Dataset
 	invLog []float64
-}
-
-// refresh re-derives the weights of u's items. An item's degree |IPi|
-// only changes when a user gains it — through AddUser, or AddRating of an
-// item the user did not hold — and that user is the one being refreshed,
-// so patching its items (after growing the table to the item space; new
-// items nobody else holds weigh 0) leaves exactly the table a fresh
-// Prepare would build.
-func (st *adamicState) refresh(u uint32) {
-	if n := st.d.NumItems(); n > len(st.invLog) {
-		st.invLog = append(st.invLog, make([]float64, n-len(st.invLog))...)
-	}
-	for _, i := range st.d.Users[u].IDs {
-		st.invLog[i] = invLogDegree(len(st.d.Raters(i)))
-	}
 }
 
 func (st *adamicState) pair(u, v uint32) float64 {
@@ -265,16 +241,15 @@ func (f countForm) of(common, lenA, lenB int) float64 {
 	return f(common, lenA, lenB)
 }
 
-// bind is the count forms' Prepare. They keep no state, so Refresh has
-// nothing to do: re-reading profiles through d is all an append needs.
+// bind is the count forms' Prepare. They keep no state: they read
+// profiles through d.
 func (f countForm) bind(d *dataset.Dataset) Binding {
 	pair := func(u, v uint32) float64 {
 		a, b := d.Users[u], d.Users[v]
 		return f.of(sparse.CommonCount(a, b), a.Len(), b.Len())
 	}
 	return Binding{
-		Pair:    pair,
-		Batch:   func() Batcher { return &countBatcher{d: d, form: f, pair: pair} },
-		Refresh: func(uint32) {},
+		Pair:  pair,
+		Batch: func() Batcher { return &countBatcher{d: d, form: f, pair: pair} },
 	}
 }

@@ -36,11 +36,12 @@
 //
 // # Incremental maintenance
 //
-// Batch construction is not the only mode: a Maintainer keeps a
-// KIFF-built graph fresh while profiles stream in, without full
-// reconstruction. Insert adds a user and splices it into the graph by
-// evaluating only its ranked candidates; AddRating plus Rebuild refresh
-// the neighborhoods invalidated by profile updates. See NewMaintainer.
+// Batch construction is not the only mode: a Maintainer builds the exact
+// graph with one counting walk per user (KIFF's counting phase at γ = ∞,
+// with scoring moved into the count) and keeps it fresh while profiles
+// stream in, without full reconstruction. Insert walks the new user once
+// and offers it to every candidate; AddRating plus Rebuild re-walk the
+// users whose profiles changed. See Maintainer.
 //
 // # Sharding
 //
@@ -135,6 +136,7 @@ type Options struct {
 	Metric string
 	// Gamma is KIFF's per-iteration candidate budget (0 = the paper's 2k;
 	// negative = exhaust the candidate sets, which yields the exact graph).
+	// A Maintainer ignores it: its walks always score every candidate.
 	Gamma int
 	// Beta is KIFF's / HyRec's termination threshold. 0 selects the paper
 	// default 0.001. A negative Beta disables the threshold: KIFF then
@@ -142,6 +144,7 @@ type Options struct {
 	// exact graph (§III-D) — the same result as a negative Gamma, spread
 	// over γ-sized iterations. HyRec has no exhaustion point and rejects
 	// a negative Beta unless MaxIterations (not exposed here) bounds it.
+	// A Maintainer ignores it, as it does Gamma.
 	Beta float64
 	// Workers bounds parallelism (0 = all CPUs).
 	Workers int

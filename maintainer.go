@@ -1,44 +1,49 @@
 package kiff
 
 import (
+	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync/atomic"
 	"time"
 
-	"kiff/internal/engine"
+	"kiff/internal/core"
 	"kiff/internal/knngraph"
 	"kiff/internal/knnheap"
-	"kiff/internal/rcs"
+	"kiff/internal/parallel"
 	"kiff/internal/runstats"
 	"kiff/internal/similarity"
 	"kiff/internal/wal"
 )
 
-// Maintainer keeps a KIFF-built KNN graph fresh under a stream of profile
-// updates without full reconstruction — the online-serving scenario the
-// paper's introduction motivates (search, recommendation and
-// classification backends whose user base keeps changing).
+// Maintainer keeps a KNN graph fresh under a stream of profile updates
+// without full reconstruction — the online-serving scenario the paper's
+// introduction motivates (search, recommendation and classification
+// backends whose user base keeps changing).
 //
-// The construction principle carries over from the batch algorithm: a
-// user's relevant candidates are exactly the users it shares items with,
-// ranked by shared-item count. Insert therefore splices a new user into
-// the graph by evaluating only its ranked candidate set (patched from the
-// item-profile index in O(Σ|IPi|) for the items it holds), updating both
-// endpoints' heaps — a tiny fraction of the work of rebuilding the graph.
-// AddRating records in-place profile changes and marks the user dirty;
-// Rebuild refreshes the dirty users' neighborhoods, evicting the stale
-// similarities other users may still hold — found through the same
-// item-profile rows, so a rebuild costs O(Σ|IPi|) over the items the
-// dirty users hold.
+// Every score it computes comes from one counting walk (core.Walker):
+// KIFF's counting phase (§II-B) over a user's item rows, which visits
+// exactly the users it shares items with and sums each one's similarity
+// on the way. Run to exhaustion, the walk yields the user's exact row
+// (γ = ∞, exact by Eq. (5)/(6)). The cold build walks every user once;
+// Insert walks the new user and offers it to every candidate, in both
+// directions; AddRating records an in-place profile change and marks the
+// user dirty; Rebuild walks each dirty user, evicts it from every user
+// it shares an item with, and offers it back. A write therefore costs
+// O(Σ|IPi|) over the items of the users it touches, independent of |U|.
+// KIFF's γ/β refinement does not apply here: Options.Gamma and
+// Options.Beta keep their Build meaning and are ignored by a Maintainer.
 //
-// Insert keeps the new user's own neighborhood exact in exact mode
-// (Options.Beta < 0: its candidate set provably contains every user with
-// positive similarity). Affected existing users are updated through the
-// symmetric heap offer, which — as in batch KIFF — cannot displace what
-// it never evaluated; the recall of the maintained graph consequently
-// tracks a cold build's within noise (see the convergence property test).
+// What is exact: the cold-built graph (it equals Build with Gamma < 0);
+// the row of each user an Insert or Rebuild walks, as of that walk; and,
+// under the four profile-local metrics (cosine, jaccard, dice, overlap),
+// every stored similarity. Under Adamic–Adar an entry keeps the weights
+// of the walk that scored it when a later rating changes an item's
+// popularity |IPi| (see Rebuild). What is not: the rows of the users a
+// write does not walk. An offer can only add the walked user to a row,
+// and an eviction that leaves a row room does not bring back the
+// neighbor it once displaced, so such a row can keep a lower neighbor
+// than its true k-th.
 //
 // A Maintainer is a single-writer structure: Insert, InsertBatch,
 // AddRating and Rebuild must not run concurrently with each other or
@@ -47,29 +52,18 @@ import (
 // mutation batch (see Snapshot) and serve Neighbors/Query from it
 // lock-free.
 type Maintainer struct {
-	d     *Dataset
-	opts  engine.Options
-	heaps *knnheap.Set
-	sets  *rcs.Sets
-	// kernel is the evaluation-counted one-vs-many kernel over the
-	// metric's binding to d, and refresh is that binding's Refresh: it
-	// patches the prepared state (Adamic–Adar's item weights) per
-	// mutated user, so a mutation costs O(changed profile), not a full
-	// O(|U|) re-preparation.
-	kernel  similarity.Batcher
-	refresh func(uint32)
-	evals   atomic.Int64
+	d      *Dataset
+	metric similarity.Metric
+	// minRating is the §VII candidate threshold, 0 when off.
+	minRating float64
+	heaps     *knnheap.Set
+	// walk is the writer's counting walk; evals counts the candidates
+	// its rows scored.
+	walk    core.Walker
+	evals   int64
 	run     runstats.Run
 	dirty   map[uint32]struct{}
 	scratch []uint32
-	scores  []float64
-
-	// seen is Rebuild's epoch-stamped visit set over users (see
-	// evictStale): seen[v] == epoch means v was already handled in the
-	// current pass, so a user reached through many shared items is
-	// probed once.
-	seen  []uint32
-	epoch uint32
 
 	inserts      int64
 	rebuilds     int64
@@ -98,50 +92,38 @@ type Maintainer struct {
 	walErr atomic.Pointer[error]
 }
 
-// NewMaintainer cold-builds the KNN graph with KIFF (honoring opts as in
-// Build) and returns a Maintainer wrapping the live engine state. The
-// dataset is retained and mutated by Insert/AddRating; the caller must
-// not modify it directly afterward.
-//
-// Options.Beta keeps its Build meaning and additionally controls the
-// maintenance refinement: with Beta ≥ 0 an Insert or Rebuild stops
-// popping a user's ranked candidates once a γ-sized chunk yields no
-// neighborhood change; with Beta < 0 it exhausts them (exact per-user
-// candidates, at higher cost).
+// NewMaintainer cold-builds the exact KNN graph of d and returns a
+// Maintainer wrapping it. The build walks each user once and keeps only
+// that user's top-k, in parallel over Options.Workers; the graph equals
+// Build's with Gamma < 0. Options.K, Metric, Workers and MinRating apply
+// as in Build; Gamma and Beta do not (see Maintainer). The dataset is
+// retained and mutated by Insert/AddRating; the caller must not modify
+// it directly afterward.
 func NewMaintainer(d *Dataset, opts Options) (*Maintainer, error) {
-	if opts.Algorithm != "" && opts.Algorithm != KIFF {
-		return nil, fmt.Errorf("kiff: Maintainer requires the kiff algorithm, got %q", opts.Algorithm)
-	}
-	eo, err := opts.engineOptions()
+	m, err := newMaintainer(d, opts)
 	if err != nil {
 		return nil, err
 	}
-	res, err := engine.Build(string(KIFF), d, eo)
-	if err != nil {
-		return nil, err
-	}
-	// engine.Build normalized a copy of eo; re-normalize ours so the
-	// maintenance loops see the same defaults (γ = 2k, β = 0.001, metric).
-	b, _ := engine.Lookup(string(KIFF))
-	if err := b.Normalize(&eo); err != nil {
-		return nil, err
-	}
-	// The §VII candidate filter only applies to weighted datasets; gate it
-	// once here, mirroring what the batch counting phase does per build.
-	// (Binaryness is assessed at construction: a binary dataset that later
-	// gains weighted ratings keeps the filter disabled.)
-	if eo.MinRating > 0 && d.Binary() {
-		eo.MinRating = 0
-	}
-	return newMaintainer(d, eo, res.Heaps, res.Binding), nil
+	parallel.Blocks(d.NumUsers(), opts.Workers, func(_, lo, hi int) {
+		var w core.Walker
+		for u := uint32(lo); u < uint32(hi); u++ {
+			cands, sims, _ := w.Row(d, m.metric, u, m.minRating)
+			for i, v := range cands {
+				m.heaps.Update(u, v, sims[i])
+			}
+		}
+	})
+	m.publish()
+	return m, nil
 }
 
 // NewMaintainerFromGraph wraps an already-built graph — typically one
 // loaded from a checkpoint with LoadGraph or LoadGraphMapped — in a
 // Maintainer without re-running construction: the cold start of a serving
 // process that must also accept writes. The neighborhood heaps are seeded
-// from the graph's edge lists in O(|U|·k); candidate sets are recomputed
-// lazily, per user, as mutations touch them.
+// from the graph's edge lists in O(|U|·k), so the seeded rows are as
+// exact as the graph's; later writes walk the users they touch, as in
+// NewMaintainer.
 //
 // The graph must cover exactly the dataset's users and match Options.K
 // (K = 0 adopts the graph's k). The dataset is retained and mutated like
@@ -150,9 +132,6 @@ func NewMaintainer(d *Dataset, opts Options) (*Maintainer, error) {
 // first published Snapshot serves an exported copy of the seeded heaps,
 // which is edge-for-edge identical to the input graph.
 func NewMaintainerFromGraph(d *Dataset, g *Graph, opts Options) (*Maintainer, error) {
-	if opts.Algorithm != "" && opts.Algorithm != KIFF {
-		return nil, fmt.Errorf("kiff: Maintainer requires the kiff algorithm, got %q", opts.Algorithm)
-	}
 	if g.NumUsers() != d.NumUsers() {
 		return nil, fmt.Errorf("kiff: graph covers %d users, dataset has %d (was the graph saved from a different dataset?)",
 			g.NumUsers(), d.NumUsers())
@@ -163,59 +142,57 @@ func NewMaintainerFromGraph(d *Dataset, g *Graph, opts Options) (*Maintainer, er
 	if opts.K != g.K() {
 		return nil, fmt.Errorf("kiff: Options.K = %d, graph was built with k = %d", opts.K, g.K())
 	}
+	m, err := newMaintainer(d, opts)
+	if err != nil {
+		return nil, err
+	}
+	for u := 0; u < d.NumUsers(); u++ {
+		for _, nb := range g.Neighbors(uint32(u)) {
+			m.heaps.Update(uint32(u), nb.ID, nb.Sim)
+		}
+	}
+	m.publish()
+	return m, nil
+}
+
+// newMaintainer is the constructors' shared head: it validates the
+// options a Maintainer reads and returns one over d with empty heaps,
+// unpublished.
+func newMaintainer(d *Dataset, opts Options) (*Maintainer, error) {
+	if opts.Algorithm != "" && opts.Algorithm != KIFF {
+		return nil, fmt.Errorf("kiff: Maintainer requires the kiff algorithm, got %q", opts.Algorithm)
+	}
 	if opts.K < 1 {
 		return nil, fmt.Errorf("kiff: K must be ≥ 1, got %d", opts.K)
 	}
-	if math.IsNaN(opts.Beta) {
-		return nil, fmt.Errorf("kiff: Beta must not be NaN")
+	if opts.MinRating < 0 {
+		return nil, errors.New("kiff: MinRating must be ≥ 0")
 	}
-	eo, err := opts.engineOptions()
+	metric, err := opts.metric()
 	if err != nil {
 		return nil, err
-	}
-	b, err := engine.Lookup(string(KIFF))
-	if err != nil {
-		return nil, err
-	}
-	if err := b.Normalize(&eo); err != nil {
-		return nil, err
-	}
-	// Same §VII gate as NewMaintainer: the positive-rating candidate
-	// filter only applies to weighted datasets.
-	if eo.MinRating > 0 && d.Binary() {
-		eo.MinRating = 0
 	}
 	d.EnsureItemProfiles()
-	n := d.NumUsers()
-	heaps := knnheap.NewSet(n, eo.K)
-	for u := 0; u < n; u++ {
-		for _, nb := range g.Neighbors(uint32(u)) {
-			heaps.Update(uint32(u), nb.ID, nb.Sim)
-		}
+	// The §VII candidate filter only applies to weighted datasets, as in
+	// the batch counting phase. Binaryness is assessed here, once: a
+	// binary dataset that later gains weighted ratings keeps the filter
+	// off.
+	minRating := opts.MinRating
+	if d.Binary() {
+		minRating = 0
 	}
-	return newMaintainer(d, eo, heaps, eo.Metric.Prepare(d)), nil
-}
-
-// newMaintainer is the constructors' shared tail: it wraps the heaps
-// and the metric's binding to d (the cold build's own, or a fresh one)
-// and publishes the first snapshot.
-func newMaintainer(d *Dataset, eo engine.Options, heaps *knnheap.Set, b similarity.Binding) *Maintainer {
-	m := &Maintainer{
-		d:       d,
-		opts:    eo,
-		heaps:   heaps,
-		sets:    rcs.NewSets(d.NumUsers()),
-		refresh: b.Refresh,
-		dirty:   make(map[uint32]struct{}),
+	return &Maintainer{
+		d:         d,
+		metric:    metric,
+		minRating: minRating,
+		heaps:     knnheap.NewSet(d.NumUsers(), opts.K),
+		dirty:     make(map[uint32]struct{}),
 		run: runstats.Run{
 			Algorithm: "kiff-maintain",
 			NumUsers:  d.NumUsers(),
-			K:         eo.K,
+			K:         opts.K,
 		},
-	}
-	m.kernel = similarity.CountedBatch(b.Batch, &m.evals)()
-	m.publish()
-	return m
+	}, nil
 }
 
 // publish freezes the current graph and dataset into a new Snapshot and
@@ -244,7 +221,7 @@ func (m *Maintainer) publish() {
 	}
 	view := m.d.View()
 	vc, vs := m.d.LastViewStats()
-	m.snap.Store(newSnapshot(m.version, g, view, m.opts.Metric))
+	m.snap.Store(newSnapshot(m.version, g, view, m.metric))
 	ns := time.Since(start).Nanoseconds()
 	m.publishes++
 	m.pagesCopied += int64(st.PagesCopied + vc)
@@ -260,14 +237,10 @@ func (m *Maintainer) publish() {
 // publishes newer ones.
 func (m *Maintainer) Snapshot() *Snapshot { return m.snap.Load() }
 
-// rcsOpts maps the maintenance options onto the counting-phase options.
-func (m *Maintainer) rcsOpts() rcs.BuildOptions {
-	return rcs.BuildOptions{MinRating: m.opts.MinRating}
-}
-
 // Insert appends a new user with the given profile, splices it into the
-// graph, and returns its ID. Only the new user's ranked candidates are
-// evaluated; see the type comment for the cost model.
+// graph, and returns its ID. The new user is walked once: its own row is
+// exact, and it is offered to every candidate's row (see the type
+// comment for the cost model).
 func (m *Maintainer) Insert(p Profile) (uint32, error) {
 	if err := m.walGuard(); err != nil {
 		return 0, err
@@ -288,9 +261,8 @@ func (m *Maintainer) Insert(p Profile) (uint32, error) {
 		return 0, err
 	}
 	m.heaps.Grow(1)
-	m.sets.PatchUser(m.d, id, m.rcsOpts())
-	m.refresh(id)
-	m.refineUser(id)
+	cands, sims, _ := m.walk.Row(m.d, m.metric, id, m.minRating)
+	m.offer(id, cands, sims)
 	m.inserts++
 	m.run.NumUsers = m.d.NumUsers()
 	m.run.WallTime += time.Since(start)
@@ -334,9 +306,8 @@ func (m *Maintainer) InsertBatch(ps []Profile) ([]uint32, error) {
 		if err != nil {
 			return ids, fmt.Errorf("kiff: insert batch: %w", err)
 		}
-		m.sets.PatchUser(m.d, id, m.rcsOpts())
-		m.refresh(id)
-		m.refineUser(id)
+		cands, sims, _ := m.walk.Row(m.d, m.metric, id, m.minRating)
+		m.offer(id, cands, sims)
 		m.inserts++
 		ids = append(ids, id)
 	}
@@ -366,7 +337,6 @@ func (m *Maintainer) AddRating(u uint32, item uint32, rating float64) error {
 	if err := m.d.AddRating(u, item, rating); err != nil {
 		return err
 	}
-	m.refresh(u)
 	m.dirty[u] = struct{}{}
 	return nil
 }
@@ -383,21 +353,30 @@ func (m *Maintainer) Dirty() []uint32 {
 }
 
 // Rebuild refreshes the neighborhoods of the given users (nil = every
-// user currently marked dirty; duplicates are ignored): their candidate
-// sets are recomputed against the updated profiles, their own
-// neighborhoods are rebuilt from scratch, and stale references to them
-// are evicted from other users' heaps before the fresh similarities are
-// offered back.
+// user currently marked dirty; duplicates are ignored): each one's row
+// is rebuilt from scratch by a walk over its updated profile, the stale
+// references other users hold to it are evicted, and its fresh
+// similarities are offered back to its candidates.
 //
-// Eviction follows the rebuilt users' item-profile rows: per rebuilt user
-// u it costs O(Σ_{i∈P(u)} |IPi|) stamp checks — no more than the
-// candidate patch before it — plus one heap probe per distinct co-rater,
-// independent of |U|. The rule is:
-// entries whose similarity can have changed are evicted; entries between
-// users with no item in common are not. The latter only exist in graphs
-// seeded through NewMaintainerFromGraph from a builder that pads short
-// neighborhoods (brute force, NN-Descent, HyRec, bucketed), and their
-// similarity is 0 before and after the mutation.
+// Eviction follows the rebuilt users' raw item rows: per rebuilt user u
+// it costs O(Σ_{i∈P(u)} |IPi|) — the walk that scores u — plus one heap
+// probe per distinct co-rater, independent of |U|. Every holder of u
+// whose entry can be stale is a co-rater of u: maintenance only offers
+// pairs sharing an item, and dataset mutations insert or re-weight
+// items, never remove them, so such a holder still shares an item of
+// u's current profile. The eviction reaches every co-rater, not just
+// u's candidates: under MinRating a re-rating below the threshold drops
+// a holder from the candidates while its entry still holds the old
+// similarity. Entries between users with no item in common are not
+// evicted. They only exist in graphs seeded through
+// NewMaintainerFromGraph from a builder that pads short neighborhoods
+// (brute force, NN-Descent, HyRec, bucketed), and their similarity is 0
+// before and after the mutation.
+//
+// Every eviction of a call precedes its first offer: a stale entry of a
+// later user could otherwise hold the heap slot an earlier user's fresh
+// offer needs. A lone user's walk serves both; several users are first
+// walked count-only to evict them.
 //
 // Under the profile-local metrics (cosine, jaccard, dice, overlap) no
 // stale similarity survives a Rebuild. Adamic–Adar is inexact here: a new
@@ -438,21 +417,25 @@ func (m *Maintainer) Rebuild(dirty []uint32) error {
 			return err
 		}
 	}
-	// Iterate targets in ascending ID order: refineUser offers
-	// similarities into shared heaps, so iteration order is visible in
-	// tie-broken neighborhoods — any other order would make Rebuild
-	// depend on how the caller listed the users (and diverge from a WAL
-	// replay of the same boundary).
+	// Deduplicate; the walks then run in ascending ID order, whatever
+	// order the caller listed the users in.
 	order := slices.Clone(dirty)
 	slices.Sort(order)
 	order = slices.Compact(order)
 	for _, u := range order {
-		m.sets.PatchUser(m.d, u, m.rcsOpts())
 		m.heaps.Clear(u)
 	}
-	m.evictStale(order)
+	if len(order) > 1 {
+		for _, u := range order {
+			m.evict(u, m.walk.CoRaters(m.d, u))
+		}
+	}
 	for _, u := range order {
-		m.refineUser(u)
+		cands, sims, coRaters := m.walk.Row(m.d, m.metric, u, m.minRating)
+		if len(order) == 1 {
+			m.evict(u, coRaters)
+		}
+		m.offer(u, cands, sims)
 		delete(m.dirty, u)
 	}
 	m.rebuilds++
@@ -462,78 +445,22 @@ func (m *Maintainer) Rebuild(dirty []uint32) error {
 	return nil
 }
 
-// evictStale removes every heap reference to the users in order (sorted,
-// unique, their own heaps already cleared): such an entry v→u carries a
-// pre-mutation similarity, and refineUser re-offers the fresh value.
-//
-// Every holder of u whose entry can be stale is a co-rater of u:
-// maintenance only offers pairs sharing an item (KIFF candidates), and
-// dataset mutations insert or re-weight items, never remove them, so such
-// a holder still shares an item of u's current profile. (Seeded entries
-// between users sharing no item score 0 before and after, and stay.) The
-// walk therefore visits u's raw item rows — not u's candidate list, which
-// MinRating filters: a re-rating below the threshold drops a holder from
-// it. Other targets are skipped (their heaps are empty) and each co-rater
-// is probed once per target.
-func (m *Maintainer) evictStale(order []uint32) {
-	if n := m.d.NumUsers(); len(m.seen) < n {
-		m.seen = append(m.seen, make([]uint32, n-len(m.seen))...)
-	}
-	// One epoch marks the targets, one more per target marks its visited
-	// co-raters. Reset before the counter could wrap into live stamps.
-	if uint64(m.epoch)+uint64(len(order))+1 > math.MaxUint32 {
-		clear(m.seen)
-		m.epoch = 0
-	}
-	m.epoch++
-	target := m.epoch
-	for _, u := range order {
-		m.seen[u] = target
-	}
-	for _, u := range order {
-		m.epoch++
-		for _, it := range m.d.User(u).IDs {
-			for _, r := range m.d.Raters(it) {
-				v := r.User
-				if s := m.seen[v]; s == target || s == m.epoch {
-					continue
-				}
-				m.seen[v] = m.epoch
-				m.heaps.Remove(v, u)
-			}
-		}
+// evict removes u from the heaps of its co-raters (u's own heap, which
+// the list includes, is already empty).
+func (m *Maintainer) evict(u uint32, coRaters []uint32) {
+	for _, v := range coRaters {
+		m.heaps.Remove(v, u)
 	}
 }
 
-// refineUser runs KIFF's refinement loop for a single user: pop the top γ
-// untried candidates, score the whole chunk with the one-vs-many kernel
-// (u's profile scattered once per chunk), update both endpoints' heaps;
-// stop on exhaustion or — in approximate mode — when a full chunk changes
-// nothing (the per-user analogue of the β threshold: ranked order means
-// later candidates are ever less likely to displace anything).
-func (m *Maintainer) refineUser(u uint32) {
-	for iter := 0; ; iter++ {
-		cs := m.sets.TopPop(u, m.opts.Gamma)
-		if len(cs) == 0 {
-			break
-		}
-		if cap(m.scores) < len(cs) {
-			m.scores = make([]float64, len(cs))
-		}
-		scores := m.scores[:len(cs)]
-		m.kernel.ScoreInto(scores, u, cs)
-		var changes int64
-		for i, v := range cs {
-			changes += int64(m.heaps.Update(u, v, scores[i]))
-			changes += int64(m.heaps.Update(v, u, scores[i]))
-		}
-		// Only aggregate counters: a long-lived maintainer must not grow
-		// per-chunk traces (UpdatesPerIter etc.) without bound.
-		m.run.Iterations++
-		if m.opts.Beta >= 0 && changes == 0 {
-			break
-		}
+// offer offers u's walked row to both endpoints of every candidate and
+// counts the candidates as scored.
+func (m *Maintainer) offer(u uint32, cands []uint32, sims []float64) {
+	for i, v := range cands {
+		m.heaps.Update(u, v, sims[i])
+		m.heaps.Update(v, u, sims[i])
 	}
+	m.evals += int64(len(cands))
 }
 
 // Graph snapshots the current maintained KNN graph.
@@ -545,11 +472,11 @@ func (m *Maintainer) Dataset() *Dataset { return m.d }
 
 // Stats returns the cumulative cost record of the maintenance operations
 // (Insert, Rebuild) since NewMaintainer — the cold build's own costs are
-// not included. SimEvals is the headline number: it is what a full
-// rebuild would multiply.
+// not included. SimEvals counts the candidates the walks scored: the
+// headline number, which a full rebuild would multiply.
 func (m *Maintainer) Stats() Run {
 	r := m.run
-	r.SimEvals = m.evals.Load()
+	r.SimEvals = m.evals
 	return r
 }
 
@@ -565,11 +492,10 @@ type Counters = runstats.Counters
 // must be called from the writer side (or after mutations quiesce).
 func (m *Maintainer) Counters() Counters {
 	return Counters{
-		SimEvals:      m.evals.Load(),
+		SimEvals:      m.evals,
 		Inserts:       m.inserts,
 		Rebuilds:      m.rebuilds,
 		RebuiltUsers:  m.rebuiltUsers,
-		Iterations:    int64(m.run.Iterations),
 		WallNs:        m.run.WallTime.Nanoseconds(),
 		Publishes:     m.publishes,
 		PagesCopied:   m.pagesCopied,

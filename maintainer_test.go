@@ -1,6 +1,7 @@
 package kiff
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -90,6 +91,49 @@ func TestMaintainerInsertStreamConvergesToColdBuild(t *testing.T) {
 	}
 }
 
+// TestMaintainerColdBuildMatchesExactBuild pins the walk's cold build to
+// KIFF at γ = ∞: NewMaintainer's graph must equal Build's with Gamma < 0,
+// KFG1 byte for byte, for every metric, on a binary (wikipedia) and a
+// weighted (gowalla) fixture, and under the §VII MinRating filter.
+func TestMaintainerColdBuildMatchesExactBuild(t *testing.T) {
+	fixtures := []struct {
+		preset     string
+		scale      float64
+		minRatings []float64
+	}{
+		{"wikipedia", 0.02, []float64{0}},
+		{"gowalla", 0.003, []float64{0, 3}},
+	}
+	for _, fx := range fixtures {
+		d, err := GeneratePreset(fx.preset, fx.scale, 41)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, metric := range similarity.Names() {
+			for _, minRating := range fx.minRatings {
+				t.Run(fmt.Sprintf("%s/%s/min=%g", fx.preset, metric, minRating), func(t *testing.T) {
+					opts := Options{K: 10, Metric: metric, MinRating: minRating, Workers: 3}
+					m, err := NewMaintainer(d, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts.Gamma = -1
+					exact, err := Build(d, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(graphBytes(t, m.Graph()), graphBytes(t, exact.Graph)) {
+						t.Fatal("cold-built graph differs from Build with Gamma < 0")
+					}
+					if got := m.Stats().SimEvals; got != 0 {
+						t.Errorf("cold build counted %d maintenance evaluations", got)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestMaintainerRebuildRefreshesDirtyUsers covers the rating-update path:
 // after AddRating mutations, Rebuild must re-rank the dirty user exactly
 // (its candidate set provably covers every positive-similarity user) and
@@ -100,8 +144,9 @@ func TestMaintainerRebuildRefreshesDirtyUsers(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := 5
-	// Beta < 0: exact per-user candidate exhaustion, so the rebuilt user's
-	// neighborhood is exactly the positive prefix of its true top-k.
+	// The rebuild walks every candidate of the user (Beta, which Build
+	// reads, is ignored), so the rebuilt user's neighborhood is exactly
+	// the positive prefix of its true top-k.
 	m, err := NewMaintainer(d, Options{K: k, Beta: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -242,11 +287,11 @@ func TestMaintainerInsertEdgeCases(t *testing.T) {
 
 // TestMaintainerNonIncrementalMetric pins Adamic–Adar maintenance to
 // exact builds. Its per-item weights 1/ln|IPi| shift whenever a user
-// gains an item, and the Maintainer refreshes them per mutated user
-// (similarity.Binding.Refresh) instead of re-preparing the metric. In
-// exact mode (Beta < 0), every user a step inserts or rebuilds must then
-// hold the exact build's neighborhood, similarity for similarity, across
-// a seeded Insert/InsertBatch/AddRating/Rebuild stream.
+// gains an item, and the Maintainer's walk reads each weight from the
+// live item row instead of a prepared table. Every user a step inserts
+// or rebuilds must then hold the exact build's neighborhood, similarity
+// for similarity, across a seeded Insert/InsertBatch/AddRating/Rebuild
+// stream.
 func TestMaintainerNonIncrementalMetric(t *testing.T) {
 	d, err := GeneratePreset("wikipedia", 0.01, 33)
 	if err != nil {

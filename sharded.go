@@ -48,7 +48,7 @@ func OneShardPool(m *Maintainer) (*ShardedMaintainer, error) {
 
 // NewShardedMaintainer partitions the dataset's users across shards
 // independent Maintainers (stable hash of the user ID; see shard.Owner)
-// and cold-builds each shard's KIFF graph in parallel. Options applies
+// and cold-builds each shard's exact graph (NewMaintainer) in parallel. Options applies
 // to every shard as in NewMaintainer. With several shards the input
 // dataset is not retained: each shard compacts its partition onto its
 // own arenas, so d remains usable (read-only) by the caller. One shard
