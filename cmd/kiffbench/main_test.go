@@ -212,3 +212,28 @@ func TestCompareReportsNewBenches(t *testing.T) {
 		t.Fatalf("delta table must list the unbaselined bench as new:\n%s", errOut.String())
 	}
 }
+
+// TestBenchBuildsOnlySelectedRows: selecting the serving cold build alone
+// must neither build nor report the bucketed builder (its recall line is
+// printed only when it ran) or the standard KIFF row.
+func TestBenchBuildsOnlySelectedRows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real benchmarks")
+	}
+	outPath := filepath.Join(t.TempDir(), "out.json")
+	var out, errOut bytes.Buffer
+	if err := run([]string{"-bench-out", outPath, "-bench-names", "maintainer-build"}, &out, &errOut); err != nil {
+		t.Fatalf("run: %v\n%s", err, errOut.String())
+	}
+	if strings.Contains(errOut.String(), "bucketed") {
+		t.Errorf("bucketed builder reported without being selected:\n%s", errOut.String())
+	}
+	data, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"maintainer-build"`) ||
+		strings.Contains(string(data), "kiff-build-bucketed") || strings.Contains(string(data), "kiff-build-wiki05") {
+		t.Fatalf("record must hold exactly the selected row:\n%s", data)
+	}
+}

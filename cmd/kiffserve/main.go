@@ -173,7 +173,8 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 		cfg.APIKeys = keys
 		fmt.Fprintf(stderr, "kiffserve: authentication enabled (%d keys)\n", len(keys))
 	}
-	src := source{pool: *pool, graph: *graph, data: *data, in: *in, binary: *binary, mmap: *useMmap, shards: *shards, opts: opts, stderr: stderr}
+	boot := &cfg.Boot
+	src := source{pool: *pool, graph: *graph, data: *data, in: *in, binary: *binary, mmap: *useMmap, shards: *shards, opts: opts, stderr: stderr, boot: boot}
 
 	if *readonly {
 		v, err := src.openView()
@@ -182,6 +183,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 		}
 		fmt.Fprintf(stderr, "kiffserve: read-only view over %d users\n", v.NumUsers())
 		cfg.Static = v
+		logBoot(stderr, cfg.Boot)
 		return serve(ctx, cfg, *addr, stderr, ready)
 	}
 
@@ -203,7 +205,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 		if *ckptDir != "" {
 			if latest, ok := server.LatestCheckpoint(*ckptDir); ok {
 				fmt.Fprintf(stderr, "kiffserve: resuming from checkpoint %s\n", latest)
-				src = source{pool: latest, mmap: *useMmap, opts: opts, stderr: stderr}
+				src = source{pool: latest, mmap: *useMmap, opts: opts, stderr: stderr, boot: boot}
 			}
 		}
 	}
@@ -212,7 +214,9 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 		return err
 	}
 	if *walDir != "" {
+		start := time.Now()
 		st, err := p.OpenWAL(*walDir, wopts)
+		boot.WAL = time.Since(start)
 		if err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
@@ -226,18 +230,30 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 		fmt.Fprintf(stderr, "kiffserve: pool checkpointed to %s\n", *savePool)
 	}
 	cfg.Pool = p
+	logBoot(stderr, cfg.Boot)
 	return serve(ctx, cfg, *addr, stderr, ready)
 }
 
+// logBoot reports the cold start's split on stderr.
+func logBoot(stderr io.Writer, b server.Boot) {
+	fmt.Fprintf(stderr, "kiffserve: boot: load %v, build %v, wal %v\n", b.Load, b.Build, b.WAL)
+}
+
+// since adds the time elapsed since start to *phase; deferred as
+// defer since(&phase, time.Now()), it times the rest of the function.
+func since(phase *time.Duration, start time.Time) { *phase += time.Since(start) }
+
 // source is the data source the flags name: a pool checkpoint, a graph
 // checkpoint over a dataset checkpoint, or a dataset (checkpoint or edge
-// list) to cold-build from.
+// list) to cold-build from. Opening it adds the time each boot phase
+// takes to boot.
 type source struct {
 	pool, graph, data, in string
 	binary, mmap          bool
 	shards                int
 	opts                  kiff.Options
 	stderr                io.Writer
+	boot                  *server.Boot
 }
 
 // openPool assembles the mutable backend from the source.
@@ -249,6 +265,7 @@ func (s source) openPool() (*kiff.ShardedMaintainer, error) {
 		}
 		// A checkpoint carries its own k, and its own metric unless
 		// -metric names one (which must then match).
+		defer since(&s.boot.Load, time.Now())
 		p, err := load(s.pool, kiff.Options{Metric: s.opts.Metric, Workers: s.opts.Workers})
 		if err != nil {
 			return nil, fmt.Errorf("load pool: %w", err)
@@ -268,6 +285,7 @@ func (s source) openPool() (*kiff.ShardedMaintainer, error) {
 		}
 		o := s.opts
 		o.K = 0 // adopt the checkpoint's k
+		defer since(&s.boot.Build, time.Now())
 		m, err := kiff.NewMaintainerFromGraph(ds, g, o)
 		if err != nil {
 			return nil, err
@@ -277,11 +295,12 @@ func (s source) openPool() (*kiff.ShardedMaintainer, error) {
 	}
 	start := time.Now()
 	p, err := kiff.NewShardedMaintainer(ds, s.shards, s.opts)
+	since(&s.boot.Build, start)
 	if err != nil {
 		return nil, fmt.Errorf("cold build: %w", err)
 	}
 	fmt.Fprintf(s.stderr, "kiffserve: cold-built %d-shard pool over %d users (k=%d) in %v\n",
-		p.NumShards(), p.NumUsers(), p.K(), time.Since(start))
+		p.NumShards(), p.NumUsers(), p.K(), s.boot.Build)
 	return p, nil
 }
 
@@ -290,6 +309,7 @@ func (s source) openPool() (*kiff.ShardedMaintainer, error) {
 func (s source) openView() (*shard.View, error) {
 	switch {
 	case s.pool != "":
+		defer since(&s.boot.Load, time.Now())
 		v, err := kiff.LoadShardedView(s.pool, kiff.Options{Metric: s.opts.Metric}, s.mmap)
 		if err != nil {
 			return nil, fmt.Errorf("load pool: %w", err)
@@ -304,6 +324,7 @@ func (s source) openView() (*shard.View, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer since(&s.boot.Build, time.Now())
 		snap, err := kiff.NewSnapshot(g, ds, s.opts)
 		if err != nil {
 			return nil, err
@@ -321,6 +342,7 @@ func (s source) openView() (*shard.View, error) {
 // list. A mapping lives for the process lifetime; the kernel reclaims it
 // at exit.
 func (s source) dataset() (*kiff.Dataset, error) {
+	defer since(&s.boot.Load, time.Now())
 	switch {
 	case s.data != "" && s.mmap:
 		md, err := kiff.LoadDatasetMapped(s.data)
@@ -347,6 +369,7 @@ func (s source) dataset() (*kiff.Dataset, error) {
 
 // loadGraph loads the -graph checkpoint (mapped or heap).
 func (s source) loadGraph() (*kiff.Graph, error) {
+	defer since(&s.boot.Load, time.Now())
 	if s.mmap {
 		mg, err := kiff.LoadGraphMapped(s.graph)
 		if err != nil {

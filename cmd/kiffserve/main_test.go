@@ -85,6 +85,23 @@ func TestServeColdBuildLifecycle(t *testing.T) {
 		t.Fatalf("healthz = %+v", health)
 	}
 
+	// The cold start's split: the edge list was loaded and built from,
+	// and no log was attached.
+	resp, err = http.Get(url + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats struct {
+		Boot map[string]int64 `json:"boot"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if b := stats.Boot; b["load_ns"] <= 0 || b["build_ns"] <= 0 || b["wal_ns"] != 0 {
+		t.Fatalf("/stats boot = %v, want load and build timed, no wal", b)
+	}
+
 	q := `{"profile":{"3":2,"8":1},"k":3}`
 	resp, err = http.Post(url+"/query", "application/json", strings.NewReader(q))
 	if err != nil {

@@ -73,9 +73,10 @@ func New(name string, users []sparse.Vector, numItems int) (*Dataset, error) {
 }
 
 // Compact re-lays every user profile onto shared contiguous arenas (see
-// sparse.Compact). Constructors call it once; long-mutated datasets may
-// call it again to re-pack rows that copy-on-write mutations scattered
-// across the heap. Single-writer, like every mutator.
+// sparse.Compact). Constructors call it once (Load writes the same
+// layout directly); long-mutated datasets may call it again to re-pack
+// rows that copy-on-write mutations scattered across the heap.
+// Single-writer, like every mutator.
 func (d *Dataset) Compact() {
 	d.Users = sparse.Compact(d.Users)
 	// Every row header just moved onto new arenas; pages shared from the

@@ -6,8 +6,10 @@ import (
 	"testing"
 )
 
-// FuzzLoad asserts the edge-list parser never panics and that everything
-// it accepts is structurally valid and round-trips through Write.
+// FuzzLoad is differential: on every input, Load must return what the
+// reference parser (referenceLoad) returns, or the same error text, with
+// Binary on and off. Everything it accepts must also round-trip through
+// Write.
 func FuzzLoad(f *testing.F) {
 	seeds := []string{
 		"",
@@ -22,11 +24,21 @@ func FuzzLoad(f *testing.F) {
 		"\x00\x01\x02\n",
 		"u\ti\t5\n",
 		strings.Repeat("u i\n", 100),
+		"7 1 2\n07 1 3\n+7 01 4\n4294967296 1\n",
+		"0 9000 1\n1 0\n9000 9000 2\n",
+		"u\u0085i 2\r\n  # nbsp comment\nü i\n",
+		"u i 1.5\nu j\nu i 2.25\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
+		for _, binary := range []bool{false, true} {
+			opts := LoadOptions{Name: "fuzz", BuildItemProfiles: true, Binary: binary}
+			if diff := diffLoad([]byte(input), opts); diff != "" {
+				t.Fatalf("Binary %v: %s\ninput: %q", binary, diff, input)
+			}
+		}
 		d, err := Load(strings.NewReader(input), LoadOptions{Name: "fuzz", BuildItemProfiles: true})
 		if err != nil {
 			return // rejected input is fine; panics are not

@@ -132,6 +132,13 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.authFailures.With("unauthorized")
 	m.authFailures.With("forbidden")
 	m.rateLimited.With()
+	// The boot split never changes after New, so it is set once, from
+	// the values /stats reports.
+	boot := r.NewGauge("kiffserve_boot_seconds",
+		"Wall time of each cold-start phase: load, build, wal (matches /stats \"boot\").", "phase")
+	boot.With("load").Set(float64(s.cfg.Boot.Load.Nanoseconds()) / 1e9)
+	boot.With("build").Set(float64(s.cfg.Boot.Build.Nanoseconds()) / 1e9)
+	boot.With("wal").Set(float64(s.cfg.Boot.WAL.Nanoseconds()) / 1e9)
 	if s.pool != nil {
 		m.maintSimEvals = r.NewCounter("kiffserve_maintain_sim_evals_total",
 			"Similarity evaluations spent on graph maintenance.").With()

@@ -352,7 +352,8 @@ func scrapeMetrics(t *testing.T, url string) map[string]float64 {
 // agree exactly.
 func TestMetricsStatsConsistency(t *testing.T) {
 	m := newTestMaintainer(t, 4)
-	srv, err := New(Config{Pool: onePool(t, m), MaxBatch: 4})
+	boot := Boot{Load: 1234567890, Build: 250 * time.Millisecond, WAL: 3}
+	srv, err := New(Config{Pool: onePool(t, m), MaxBatch: 4, Boot: boot})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,8 +397,16 @@ func TestMetricsStatsConsistency(t *testing.T) {
 			Users   float64 `json:"users"`
 			Inserts float64 `json:"inserts"`
 		} `json:"shards"`
+		Boot struct {
+			LoadNs  int64 `json:"load_ns"`
+			BuildNs int64 `json:"build_ns"`
+			WALNs   int64 `json:"wal_ns"`
+		} `json:"boot"`
 	}
 	getJSON(t, ts.URL+"/stats", &stats)
+	if got := (Boot{Load: time.Duration(stats.Boot.LoadNs), Build: time.Duration(stats.Boot.BuildNs), WAL: time.Duration(stats.Boot.WALNs)}); got != boot {
+		t.Errorf("/stats boot = %+v, want %+v", got, boot)
+	}
 	mv := scrapeMetrics(t, ts.URL)
 	// An unsharded server is a one-shard pool: one shards row, one
 	// shard="0" series per family.
@@ -424,6 +433,9 @@ func TestMetricsStatsConsistency(t *testing.T) {
 		"kiffserve_pages_shared_total":             stats.Publish.PagesShared,
 		`kiffserve_shard_users{shard="0"}`:         stats.Shards[0].Users,
 		`kiffserve_shard_inserts_total{shard="0"}`: stats.Shards[0].Inserts,
+		`kiffserve_boot_seconds{phase="load"}`:     float64(stats.Boot.LoadNs) / 1e9,
+		`kiffserve_boot_seconds{phase="build"}`:    float64(stats.Boot.BuildNs) / 1e9,
+		`kiffserve_boot_seconds{phase="wal"}`:      float64(stats.Boot.WALNs) / 1e9,
 	} {
 		got, ok := mv[name]
 		if !ok {

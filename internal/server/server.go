@@ -16,7 +16,7 @@
 // Endpoints:
 //
 //	GET  /healthz            liveness + snapshot version
-//	GET  /stats              serving counters, queue depth, maintenance costs
+//	GET  /stats              serving counters, queue depth, maintenance costs, boot split
 //	GET  /metrics            Prometheus text-format exposition of the same meters
 //	GET  /neighbors/{user}   the user's current KNN list
 //	POST /query              profile → top-k similar users (or recommended items)
@@ -98,6 +98,20 @@ type Config struct {
 	// LogRequests enables the structured access log: one JSON line per
 	// request through Logf, including denied (401/403/429) requests.
 	LogRequests bool
+	// Boot is the cold start of the backend, phase by phase, as whoever
+	// assembled it measured it. /stats reports it under "boot" and
+	// /metrics as kiffserve_boot_seconds{phase}; zero when not measured.
+	Boot Boot
+}
+
+// Boot splits a server's cold start into its phases.
+type Boot struct {
+	// Load is loading the source: an edge list, a dataset or a checkpoint.
+	Load time.Duration
+	// Build is the cold build, or the seeding from a graph checkpoint.
+	Build time.Duration
+	// WAL is attaching the write-ahead logs, their replay included.
+	WAL time.Duration
 }
 
 // ErrClosed is returned to mutation requests that arrive once the server
@@ -563,6 +577,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"inserts":           s.inserts.Load(),
 		"ratings":           s.ratings.Load(),
 		"rejected":          s.rejected.Load(),
+		"boot": map[string]any{
+			"load_ns":  s.cfg.Boot.Load.Nanoseconds(),
+			"build_ns": s.cfg.Boot.Build.Nanoseconds(),
+			"wal_ns":   s.cfg.Boot.WAL.Nanoseconds(),
+		},
 	}
 	if s.pool != nil {
 		// Cumulative maintenance counters, summed over shards: what

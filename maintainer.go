@@ -105,11 +105,18 @@ func NewMaintainer(d *Dataset, opts Options) (*Maintainer, error) {
 		return nil, err
 	}
 	parallel.Blocks(d.NumUsers(), opts.Workers, func(_, lo, hi int) {
+		// Each row's top-k is selected privately, under the heaps' order,
+		// and only the kept entries reach the user's (empty) heap.
 		var w core.Walker
+		buf := make([]knngraph.Neighbor, 0, opts.K)
 		for u := uint32(lo); u < uint32(hi); u++ {
 			cands, sims, _ := w.Row(d, m.metric, u, m.minRating)
+			top := knngraph.NewTopK(buf, opts.K)
 			for i, v := range cands {
-				m.heaps.Update(u, v, sims[i])
+				top.Push(knngraph.Neighbor{ID: v, Sim: sims[i]})
+			}
+			for _, nb := range top.Sorted() {
+				m.heaps.Update(u, nb.ID, nb.Sim)
 			}
 		}
 	})
